@@ -37,28 +37,50 @@
 //! common edge order `(cost, row, col)` the suitor fixed point *is* the
 //! greedy matching by that order (see `G1Scratch::greedy_assign`).
 //!
-//! On top of the reduced kernel, [`map_adjacency`] deduplicates work by
-//! *content classes*: blocks with identical bit patterns and crossbars
-//! with identical fault planes share a single `G₁` solution, and the
-//! unique (block-class, fault-class) pairs are solved on the worker pool
-//! with per-worker solver scratch. [`RemapCache`] extends the same idea
-//! across BIST epochs: a (block, crossbar) pair whose fault state is
-//! unchanged (checked via [`Crossbar::fault_version`]) reuses its stored
-//! permutation instead of re-solving.
+//! On top of the reduced kernel, [`map_adjacency`] solves only the pairs
+//! Algorithm 1 actually inspects. Blocks with identical bits share a
+//! *block class* and crossbars with identical fault planes a *fault
+//! class*; a `G₁` solution is a pure function of the two, so pair costs
+//! live in one memo keyed by class pair and filled on first read. Every
+//! read is gated by a lower bound built from per-column counts, SA1 cells
+//! per column `sa1col_j[c]` and ones per column `onescol_i[c]`:
+//!
+//! ```text
+//! LB(i, j) = Σ_c max(0, sa1col_j[c] − onescol_i[c])  ≤  sa1(i, j)  ≤  mismatch(i, j)
+//! ```
+//!
+//! An SA1 cell escapes a mismatch only under a stored 1 in its own
+//! column, and an injective row assignment puts at most `onescol_i[c]`
+//! ones under column `c`, so the bound holds for any permutation and any
+//! matcher. Pruning (lines 8–17) stops at the first block class that
+//! fits a crossbar and skips classes whose bound rules a fit out;
+//! deferred placement searches free crossbars in bound order; and `G₂`
+//! under b-Suitor without a locality term runs, with the same search,
+//! the greedy matching over `(mismatch, block, crossbar)` — the stable
+//! matching the suitor fixed point reaches on integer costs, so exactly
+//! what `bsuitor_assignment` returns on the dense matrix.
+//!
+//! Other matchers, or a locality term, fill the dense `G₂` cost matrix
+//! from the same memo, solving the missing class pairs on the worker
+//! pool. [`RemapCache`] extends the memo idea across BIST epochs: a
+//! (block, crossbar) pair whose fault state is unchanged (checked via
+//! [`Crossbar::fault_version`]) reuses its stored permutation instead of
+//! re-solving.
 //!
 //! The [`reference`] module keeps a naive serial implementation of the
-//! same semantics (the oracle the property tests pin the fast path
-//! against) plus the original full `n × n` pipeline used as the benchmark
+//! same semantics — eager pair table, full `min` pruning, dense
+//! `Matcher::solve` — as the oracle the property tests pin the fast path
+//! against, plus the original full `n × n` pipeline used as the benchmark
 //! baseline.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use fare_rt::par::prelude::*;
-use fare_rt::par::{scoped_map, scoped_map_init};
+use fare_rt::par::scoped_map_init;
 use fare_tensor::Matrix;
 
 /// Configuration of the mapping algorithm.
@@ -533,9 +555,8 @@ fn g1_assign(
 }
 
 /// `(mismatch, sa1)` of one reduced `G₁` pair, without materialising the
-/// permutation — the form the `B × X` pair table needs (`G₂` and pruning
-/// consume costs only; full solutions are recomputed for the ~`B` chosen
-/// pairs).
+/// permutation — the form the pair memo holds (`G₂` and pruning consume
+/// costs only; full solutions are recomputed for the ~`B` chosen pairs).
 fn solve_reduced_g1_costs(
     packed: &PackedRows,
     col_idx: &BlockColIdx,
@@ -623,145 +644,444 @@ fn decompose(adj: &Matrix, n: usize) -> (usize, Vec<(usize, usize, Matrix)>) {
     (grid, blocks)
 }
 
-/// Number of ones in a block (edge density × n²).
-fn ones_count(block: &Matrix) -> usize {
-    block.count_where(|v| v > 0.5)
+/// Tile-locality penalty of placing a block of block-row `block_row` on
+/// crossbar `xbar` of an `m`-crossbar pool; 0 without a locality term.
+fn locality_penalty(
+    cfg: &MappingConfig,
+    m: usize,
+    grid: usize,
+    block_row: usize,
+    xbar: usize,
+) -> f64 {
+    match &cfg.locality {
+        None => 0.0,
+        Some(loc) => {
+            let num_tiles = m.div_ceil(loc.crossbars_per_tile).max(1);
+            let target_tile = block_row * num_tiles / grid.max(1);
+            let tile = xbar / loc.crossbars_per_tile;
+            loc.weight * target_tile.abs_diff(tile) as f64
+        }
+    }
 }
 
-/// Shared back half of Algorithm 1: pruning (lines 8–17), the `G₂`
-/// placement over the live sets, and greedy placement of deferred
-/// blocks. Parameterised over how pair costs/solutions are produced so
-/// the fast path (deduplicated class table) and the reference oracle
-/// (naive per-pair table) provably run the identical selection logic.
+/// The `(block class, fault class)` pair costs of one [`map_adjacency`]
+/// call, solved on first read and memoised, next to a cheap lower bound
+/// on each ([`PairTable::lower_bound`]) that rules most pairs out
+/// unsolved.
 ///
-/// `cost_at(i, j)` returns `(mismatch, sa1)` for block `i` on crossbar
-/// `j`; `take_at(i, j)` materialises the full solution for the chosen
-/// pairs only.
-fn assemble_mapping<C, T>(
-    n: usize,
-    grid: usize,
-    block_meta: &[(usize, usize)],
-    ones: &[usize],
-    m: usize,
-    cfg: &MappingConfig,
-    cost_at: C,
-    take_at: T,
-    parallel_g2: bool,
-) -> Mapping
-where
-    C: Fn(usize, usize) -> (usize, usize) + Sync,
-    T: Fn(usize, usize) -> PairSolution,
-{
-    let b = block_meta.len();
+/// Blocks with identical bits share a class, as do crossbars with
+/// identical fault planes: a `G₁` solution is a pure function of (block
+/// bits, fault planes, matcher), so one solve per class pair serves
+/// every (block, crossbar) pair in it.
+struct PairTable<'a> {
+    array: &'a CrossbarArray,
+    matcher: Matcher,
+    packed: &'a [PackedRows],
+    block_class: Vec<u32>,
+    block_reps: Vec<usize>,
+    xbar_class: Vec<u32>,
+    xbar_reps: Vec<usize>,
+    /// Per block class: its transposed column index.
+    col_idx: Vec<BlockColIdx>,
+    /// Per block class: `(column, ones in it)` for every column holding
+    /// a one, ascending.
+    ones_cols: Vec<Vec<(usize, u32)>>,
+    /// Per block class: ones in total.
+    ones_total: Vec<u32>,
+    /// Per fault class: faulty rows and their SA1 bases.
+    xbar_ctx: Vec<XbarG1Ctx>,
+    /// Per fault class: SA1 cells in total.
+    sa1_total: Vec<u32>,
+    /// SA1 cells per column and fault class, column-major: `[c * xc + cj]`.
+    sa1_col: Vec<u32>,
+    /// Solved class pairs: `(mismatch, sa1)`.
+    memo: HashMap<(u32, u32), (usize, usize)>,
+    scratch: G1Scratch,
+}
 
-    // Pruning heuristic (lines 8-17).
-    let mut live_blocks: Vec<usize> = (0..b).collect();
-    let mut live_xbars: Vec<usize> = (0..m).collect();
-    let mut deferred_blocks: Vec<usize> = Vec::new();
-    if cfg.prune {
-        let mut j_idx = 0;
-        while j_idx < live_xbars.len() {
-            let j = live_xbars[j_idx];
-            let min_sa1 = live_blocks
-                .iter()
-                .map(|&i| cost_at(i, j).1)
-                .min()
-                .unwrap_or(0);
-            // The sparsest still-live block.
-            let sparsest = live_blocks
-                .iter()
-                .copied()
-                .min_by_key(|&i| ones[i]);
-            let Some(sparsest) = sparsest else { break };
-            if min_sa1 > ones[sparsest] {
-                if live_xbars.len() > live_blocks.len() {
-                    // Plenty of crossbars: drop this hopeless one.
-                    live_xbars.remove(j_idx);
-                    continue; // same j_idx now points at the next crossbar
-                } else {
-                    // b == m: defer the sparsest block instead for freedom.
-                    live_blocks.retain(|&i| i != sparsest);
-                    deferred_blocks.push(sparsest);
+impl<'a> PairTable<'a> {
+    fn new(packed: &'a [PackedRows], array: &'a CrossbarArray, matcher: Matcher) -> Self {
+        let n = array.n();
+        let mut block_class = vec![0u32; packed.len()];
+        let mut block_reps: Vec<usize> = Vec::new();
+        let mut seen: HashMap<&[u64], u32> = HashMap::new();
+        for (i, p) in packed.iter().enumerate() {
+            let next = block_reps.len() as u32;
+            block_class[i] = *seen.entry(p.bits()).or_insert_with(|| {
+                block_reps.push(i);
+                next
+            });
+        }
+        let mut xbar_class = vec![0u32; array.len()];
+        let mut xbar_reps: Vec<usize> = Vec::new();
+        let mut seen: HashMap<(&[u64], &[u64]), u32> = HashMap::new();
+        for (j, class) in xbar_class.iter_mut().enumerate() {
+            let next = xbar_reps.len() as u32;
+            *class = *seen
+                .entry(array.crossbar(j).fault_bits())
+                .or_insert_with(|| {
+                    xbar_reps.push(j);
+                    next
+                });
+        }
+
+        let col_idx: Vec<BlockColIdx> = block_reps
+            .iter()
+            .map(|&i| BlockColIdx::build(&packed[i]))
+            .collect();
+        let ones_cols: Vec<Vec<(usize, u32)>> = col_idx
+            .iter()
+            .map(|idx| {
+                (0..n)
+                    .map(|c| (c, idx.col(c).len() as u32))
+                    .filter(|&(_, ones)| ones > 0)
+                    .collect()
+            })
+            .collect();
+        let ones_total = ones_cols
+            .iter()
+            .map(|cols| cols.iter().map(|&(_, ones)| ones).sum())
+            .collect();
+        let xbar_ctx: Vec<XbarG1Ctx> = xbar_reps
+            .iter()
+            .map(|&j| XbarG1Ctx::build(array.crossbar(j)))
+            .collect();
+        let xc = xbar_reps.len();
+        let mut sa1_total = vec![0u32; xc];
+        let mut sa1_col = vec![0u32; n * xc];
+        for (cj, &j) in xbar_reps.iter().enumerate() {
+            let xbar = array.crossbar(j);
+            sa1_total[cj] = xbar.sa1_count() as u32;
+            for r in 0..n {
+                for &(c, pol) in xbar.row_faults(r) {
+                    sa1_col[c * xc + cj] += (pol == StuckPolarity::StuckAtOne) as u32;
                 }
             }
-            j_idx += 1;
+        }
+        Self {
+            array,
+            matcher,
+            packed,
+            block_class,
+            block_reps,
+            xbar_class,
+            xbar_reps,
+            col_idx,
+            ones_cols,
+            ones_total,
+            xbar_ctx,
+            sa1_total,
+            sa1_col,
+            memo: HashMap::new(),
+            scratch: G1Scratch::default(),
         }
     }
 
-    // Final G₂ assignment over the live sets, optionally with the
-    // tile-locality penalty.
-    let locality_penalty = |block_row: usize, xbar: usize| -> f64 {
-        match &cfg.locality {
-            None => 0.0,
-            Some(loc) => {
-                let num_tiles = m.div_ceil(loc.crossbars_per_tile).max(1);
-                let target_tile = block_row * num_tiles / grid.max(1);
-                let tile = xbar / loc.crossbars_per_tile;
-                loc.weight * target_tile.abs_diff(tile) as f64
+    fn block_classes(&self) -> usize {
+        self.block_reps.len()
+    }
+
+    /// `Σ_c max(0, sa1col_j[c] − onescol_i[c])`: a lower bound on the SA1
+    /// cost, and hence the mismatch, of block `i` on crossbar `j` under
+    /// *any* row permutation. An SA1 cell only escapes a mismatch under a
+    /// stored 1 in its own column, and an injective row assignment puts
+    /// at most `onescol_i[c]` ones under column `c`'s SA1 cells. Computed
+    /// as the SA1 total minus what the block's ones can cover.
+    fn lower_bound(&self, i: usize, j: usize) -> usize {
+        let xc = self.xbar_reps.len();
+        let cj = self.xbar_class[j] as usize;
+        let covered: u32 = self.ones_cols[self.block_class[i] as usize]
+            .iter()
+            .map(|&(c, ones)| self.sa1_col[c * xc + cj].min(ones))
+            .sum();
+        (self.sa1_total[cj] - covered) as usize
+    }
+
+    /// [`PairTable::lower_bound`] of block `i` on each of `xbars`: one
+    /// pass over every fault class per column the block has ones in.
+    fn bounds_on(&self, i: usize, xbars: &[usize]) -> Vec<u32> {
+        let xc = self.xbar_reps.len();
+        let mut row = self.sa1_total.clone();
+        for &(c, ones) in &self.ones_cols[self.block_class[i] as usize] {
+            for (bound, &sa1) in row.iter_mut().zip(&self.sa1_col[c * xc..][..xc]) {
+                *bound -= sa1.min(ones);
             }
         }
-    };
-    let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
-    let mut used_xbars = vec![false; m];
-    if !live_blocks.is_empty() {
-        let g2_entry = |i: usize, j: usize| -> f64 {
-            cost_at(i, j).0 as f64 + locality_penalty(block_meta[i].0, j)
-        };
-        let g2 = if parallel_g2 {
-            // Row-parallel assembly; entries are computed by the exact
-            // expression the serial branch uses, so both are bit-equal.
-            let xbars = &live_xbars;
-            let rows: Vec<Vec<f64>> = scoped_map(live_blocks.clone(), |i| {
-                xbars.iter().map(|&j| g2_entry(i, j)).collect()
-            });
-            CostMatrix::from_vec(
-                live_blocks.len(),
-                live_xbars.len(),
-                rows.concat(),
-            )
-        } else {
-            CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
-                g2_entry(live_blocks[bi], live_xbars[xj])
+        xbars
+            .iter()
+            .map(|&j| row[self.xbar_class[j] as usize])
+            .collect()
+    }
+
+    fn solve_class_pair(&self, ci: usize, cj: usize, scratch: &mut G1Scratch) -> (usize, usize) {
+        solve_reduced_g1_costs(
+            &self.packed[self.block_reps[ci]],
+            &self.col_idx[ci],
+            self.array.crossbar(self.xbar_reps[cj]),
+            &self.xbar_ctx[cj],
+            self.matcher,
+            scratch,
+        )
+    }
+
+    fn classes(&self, i: usize, j: usize) -> (u32, u32) {
+        (self.block_class[i], self.xbar_class[j])
+    }
+
+    /// `(mismatch, sa1)` of block `i` on crossbar `j`; the pair must
+    /// already be solved.
+    fn solved(&self, i: usize, j: usize) -> (usize, usize) {
+        self.memo[&self.classes(i, j)]
+    }
+
+    /// `(mismatch, sa1)` of block `i` on crossbar `j`, solving its class
+    /// pair on first use.
+    fn cost(&mut self, i: usize, j: usize) -> (usize, usize) {
+        let key = self.classes(i, j);
+        if let Some(&cost) = self.memo.get(&key) {
+            return cost;
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let cost = self.solve_class_pair(key.0 as usize, key.1 as usize, &mut scratch);
+        self.scratch = scratch;
+        debug_assert!(self.lower_bound(i, j) <= cost.1 && cost.1 <= cost.0);
+        fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.incr();
+        self.memo.insert(key, cost);
+        cost
+    }
+
+    /// Solves every not yet memoised class pair of `blocks × xbars` on
+    /// the worker pool — the dense `G₂` cost matrix reads them all.
+    fn fill(&mut self, blocks: &[usize], xbars: &[usize]) {
+        let mut block_wanted = vec![false; self.block_reps.len()];
+        for &i in blocks {
+            block_wanted[self.block_class[i] as usize] = true;
+        }
+        let mut xbar_wanted = vec![false; self.xbar_reps.len()];
+        for &j in xbars {
+            xbar_wanted[self.xbar_class[j] as usize] = true;
+        }
+        let missing: Vec<(u32, u32)> = (0..self.block_reps.len() as u32)
+            .filter(|&ci| block_wanted[ci as usize])
+            .flat_map(|ci| {
+                (0..self.xbar_reps.len() as u32)
+                    .filter(|&cj| xbar_wanted[cj as usize])
+                    .map(move |cj| (ci, cj))
             })
-        };
-        let sol = cfg.matcher.solve(&g2);
-        for (bi, assigned) in sol.assignment.iter().enumerate() {
-            let i = live_blocks[bi];
-            let j = live_xbars[assigned.expect("G2 assigns every block")];
-            used_xbars[j] = true;
-            let (perm, cost, sa1) = take_at(i, j);
-            let (br, bc) = block_meta[i];
-            placements.push(BlockPlacement {
-                block_row: br,
-                block_col: bc,
-                crossbar: j,
-                row_perm: perm,
-                mismatch_cost: cost,
-                sa1_cost: sa1,
+            .filter(|key| !self.memo.contains_key(key))
+            .collect();
+        fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add(missing.len() as u64);
+        let this = &*self;
+        let costs = scoped_map_init(missing.clone(), G1Scratch::default, |scratch, (ci, cj)| {
+            this.solve_class_pair(ci as usize, cj as usize, scratch)
+        });
+        self.memo.extend(missing.into_iter().zip(costs));
+    }
+
+    /// Full solution of block `i` on crossbar `j`: a deterministic
+    /// re-solve with the same inputs as the memoised cost, so the
+    /// permutation realises exactly that `(mismatch, sa1)`.
+    fn take(&mut self, i: usize, j: usize) -> PairSolution {
+        solve_reduced_g1(
+            &self.packed[i],
+            &self.col_idx[self.block_class[i] as usize],
+            self.array.crossbar(j),
+            &self.xbar_ctx[self.xbar_class[j] as usize],
+            self.matcher,
+            &mut self.scratch,
+        )
+    }
+}
+
+/// Algorithm 1's pruning (lines 8–17) on lazily solved costs. Returns
+/// the live blocks, the live crossbars and the deferred blocks.
+///
+/// A crossbar is hopeless when no live block leaves at most `limit` SA1
+/// mismatches on it, `limit` being the ones of the sparsest live block.
+/// Costs are class functions, so the test walks the live block classes,
+/// densest first. It stops at the first class that fits, or once the
+/// classes are too sparse to cover all but `limit` of the crossbar's SA1
+/// cells, and solves only classes whose lower bound allows a fit.
+fn prune(table: &mut PairTable) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let (b, m) = (table.block_class.len(), table.array.len());
+    let ones: Vec<usize> = table
+        .block_class
+        .iter()
+        .map(|&ci| table.ones_total[ci as usize] as usize)
+        .collect();
+    let mut live = vec![true; b];
+    let mut live_blocks = b;
+    let mut dropped = vec![false; m];
+    let mut live_xbars = m;
+    let mut deferred = Vec::new();
+    let mut live_per_class = vec![0usize; table.block_classes()];
+    for i in 0..b {
+        live_per_class[table.block_class[i] as usize] += 1;
+    }
+    let mut densest_first: Vec<(usize, usize)> = table
+        .ones_total
+        .iter()
+        .map(|&o| o as usize)
+        .zip(0..)
+        .collect();
+    densest_first.sort_by_key(|&(ones, _)| Reverse(ones));
+    let sparsest_of = |live: &[bool]| (0..b).filter(|&i| live[i]).min_by_key(|&i| ones[i]);
+    let mut sparsest = sparsest_of(&live);
+    for (j, drop) in dropped.iter_mut().enumerate() {
+        let Some(s) = sparsest else { break };
+        let limit = ones[s];
+        let need = table.array.crossbar(j).sa1_count().saturating_sub(limit);
+        let fits = densest_first
+            .iter()
+            .take_while(|&&(ones, _)| ones >= need)
+            .any(|&(_, ci)| {
+                let i = table.block_reps[ci];
+                live_per_class[ci] > 0
+                    && table.lower_bound(i, j) <= limit
+                    && table.cost(i, j).1 <= limit
             });
+        if fits {
+            continue;
+        }
+        if live_xbars > live_blocks {
+            // Plenty of crossbars: drop this hopeless one.
+            *drop = true;
+            live_xbars -= 1;
+        } else {
+            // b == m: defer the sparsest block instead for freedom.
+            live[s] = false;
+            live_blocks -= 1;
+            live_per_class[table.block_class[s] as usize] -= 1;
+            deferred.push(s);
+            sparsest = sparsest_of(&live);
+        }
+    }
+    (
+        (0..b).filter(|&i| live[i]).collect(),
+        (0..m).filter(|&j| !dropped[j]).collect(),
+        deferred,
+    )
+}
+
+/// A search for the first cheapest free crossbar among `xbars`, block
+/// by block, as crossbars get taken (`taken` is indexed by position).
+/// Keeps each block class's lower bounds on `xbars`, and its last
+/// answer, across the blocks of that class.
+struct MinSearch<'x> {
+    xbars: &'x [usize],
+    taken: Vec<bool>,
+    bounds: Vec<Vec<u32>>,
+    last: Vec<Option<(usize, usize)>>,
+}
+
+impl<'x> MinSearch<'x> {
+    fn new(table: &PairTable, xbars: &'x [usize]) -> Self {
+        Self {
+            xbars,
+            taken: vec![false; xbars.len()],
+            bounds: vec![Vec::new(); table.block_classes()],
+            last: vec![None; table.block_classes()],
         }
     }
 
-    // Deferred blocks: greedy best-remaining-crossbar placement.
-    for &i in &deferred_blocks {
-        let (br, bc) = block_meta[i];
-        let best = (0..m)
-            .filter(|&j| !used_xbars[j])
-            .min_by_key(|&j| cost_at(i, j).0)
-            .expect("b <= m guarantees a free crossbar for deferred blocks");
-        used_xbars[best] = true;
-        let (perm, cost, sa1) = take_at(i, best);
-        placements.push(BlockPlacement {
-            block_row: br,
-            block_col: bc,
-            crossbar: best,
-            row_perm: perm,
-            mismatch_cost: cost,
-            sa1_cost: sa1,
-        });
+    /// `(mismatch, position)` of the first cheapest free crossbar for
+    /// block `i`.
+    ///
+    /// Crossbars are only ever taken, so free crossbars before the class's
+    /// last answer still cost more than it and those after at least as
+    /// much: the first free one after it at the same mismatch, if any, is
+    /// the answer. Otherwise crossbars are solved bound level by bound
+    /// level, in ascending `(lower bound, position)` order, until that
+    /// key reaches the best `(mismatch, position)` found, which no later
+    /// crossbar can beat.
+    fn first_min(&mut self, table: &mut PairTable, i: usize) -> Option<(usize, usize)> {
+        let ci = table.block_class[i] as usize;
+        if self.bounds[ci].is_empty() {
+            self.bounds[ci] = table.bounds_on(i, self.xbars);
+        }
+        let (xbars, taken, bounds) = (self.xbars, &self.taken, &self.bounds[ci]);
+        let free = (0..xbars.len()).filter(|&x| !taken[x]);
+        let bound = |x: usize| bounds[x] as usize;
+        if let Some((cost, x)) = self.last[ci] {
+            debug_assert!(
+                taken[x],
+                "a class's last answer is taken before it searches again"
+            );
+            let same = free
+                .clone()
+                .skip_while(|&y| y <= x)
+                .find(|&y| bound(y) <= cost && table.cost(i, xbars[y]).0 == cost);
+            if let Some(y) = same {
+                self.last[ci] = Some((cost, y));
+                return self.last[ci];
+            }
+        }
+        let (mut level, first) = free.clone().map(|x| (bound(x), x)).min()?;
+        let mut best = (table.cost(i, xbars[first]).0, first);
+        let mut cands: Vec<usize> = free.filter(|&x| (bound(x), x) < best).collect();
+        loop {
+            for &x in &cands {
+                if bound(x) == level && (level, x) < best {
+                    best = best.min((table.cost(i, xbars[x]).0, x));
+                }
+            }
+            cands.retain(|&x| bound(x) > level && (bound(x), x) < best);
+            match cands.iter().map(|&x| bound(x)).min() {
+                Some(next) => level = next,
+                None => break,
+            }
+        }
+        self.last[ci] = Some(best);
+        Some(best)
     }
+}
 
-    Mapping::new(n, grid, placements)
+/// `G₂` under b-Suitor without a locality term: the greedy matching over
+/// the edges in ascending `(mismatch, block, crossbar)` order — exactly
+/// [`fare_matching::bsuitor_assignment`] on the dense `G₂` matrix, whose
+/// suitor fixed point on integer costs is that order's stable matching
+/// (see [`G1Scratch::greedy_assign`]). Returns `(block, crossbar)` pairs.
+///
+/// Blocks of one class have the same costs, so each class keeps one heap
+/// entry: its best free edge `(mismatch, first unmatched block, first
+/// crossbar at that mismatch)`. The heap minimum is the next greedy edge
+/// unless its crossbar was taken since, in which case the entry is
+/// recomputed.
+fn g2_greedy(
+    table: &mut PairTable,
+    live_blocks: &[usize],
+    live_xbars: &[usize],
+) -> Vec<(usize, usize)> {
+    let mut search = MinSearch::new(table, live_xbars);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); table.block_classes()];
+    for (bi, &i) in live_blocks.iter().enumerate() {
+        members[table.block_class[i] as usize].push(bi);
+    }
+    let mut matched = vec![0usize; members.len()];
+    let mut heap = BinaryHeap::new();
+    let mut chosen = Vec::with_capacity(live_blocks.len());
+    let entry = |table: &mut PairTable, search: &mut MinSearch, bi: usize| {
+        let (cost, x) = search
+            .first_min(table, live_blocks[bi])
+            .expect("G2 has at least as many crossbars as blocks");
+        Reverse((cost, bi, x))
+    };
+    for list in members.iter().filter(|list| !list.is_empty()) {
+        heap.push(entry(table, &mut search, list[0]));
+    }
+    while let Some(Reverse((_, bi, x))) = heap.pop() {
+        let ci = table.block_class[live_blocks[bi]] as usize;
+        if !search.taken[x] {
+            search.taken[x] = true;
+            chosen.push((live_blocks[bi], live_xbars[x]));
+            matched[ci] += 1;
+            if matched[ci] == members[ci].len() {
+                continue;
+            }
+        }
+        heap.push(entry(table, &mut search, members[ci][matched[ci]]));
+    }
+    chosen
 }
 
 /// Cross-epoch memo of solved `G₁` instances, keyed by block position.
@@ -883,114 +1203,63 @@ fn map_adjacency_cached_inner(
         .map(|(_, _, block)| PackedRows::from_matrix(block))
         .collect();
     let block_meta: Vec<(usize, usize)> = blocks.iter().map(|(br, bc, _)| (*br, *bc)).collect();
-    let ones: Vec<usize> = packed
-        .iter()
-        .map(|p| (0..p.rows()).map(|r| p.ones(r)).sum())
-        .collect();
+    drop(blocks);
+    let mut table = PairTable::new(&packed, array, cfg.matcher);
 
-    // Content classes: identical blocks share one class; crossbars with
-    // identical fault planes share one class. G₁ solutions are pure
-    // functions of (block bits, fault planes, matcher), so solving one
-    // representative per class pair is bit-exact.
-    let mut block_class: Vec<u32> = vec![0; b];
-    let mut block_reps: Vec<usize> = Vec::new();
-    {
-        let mut seen: HashMap<&[u64], u32> = HashMap::new();
-        for (i, p) in packed.iter().enumerate() {
-            let next = block_reps.len() as u32;
-            let class = *seen.entry(p.bits()).or_insert_with(|| {
-                block_reps.push(i);
-                next
-            });
-            block_class[i] = class;
-        }
-    }
-    let mut xbar_class: Vec<u32> = vec![0; m];
-    let mut xbar_reps: Vec<usize> = Vec::new();
-    {
-        let mut seen: HashMap<(&[u64], &[u64]), u32> = HashMap::new();
-        for j in 0..m {
-            let planes = array.crossbar(j).fault_bits();
-            let next = xbar_reps.len() as u32;
-            let class = *seen.entry(planes).or_insert_with(|| {
-                xbar_reps.push(j);
-                next
-            });
-            xbar_class[j] = class;
-        }
-    }
-    // Per-class precomputation, amortised across every pair the class
-    // participates in: each block class gets its transposed column index
-    // (reused against all fault classes), each fault class its base
-    // costs/histogram (reused against all block classes).
-    let col_idx: Vec<BlockColIdx> = block_reps
-        .iter()
-        .map(|&i| BlockColIdx::build(&packed[i]))
-        .collect();
-    let xbar_ctx: Vec<XbarG1Ctx> = xbar_reps
-        .iter()
-        .map(|&j| XbarG1Ctx::build(array.crossbar(j)))
-        .collect();
-
-    // Solve each unique (block-class, fault-class) pair exactly once, on
-    // the worker pool, with per-worker solver scratch.
-    let bc_count = block_reps.len();
-    let xc_count = xbar_reps.len();
-    let pairs: Vec<(usize, usize)> = (0..bc_count)
-        .flat_map(|ci| (0..xc_count).map(move |cj| (ci, cj)))
-        .collect();
-    fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add(pairs.len() as u64);
-    // The pair table needs only `(mismatch, sa1)` — `G₂` and the pruning
-    // heuristic consume costs, never permutations — so the fan-out solve
-    // skips permutation assembly (and its per-pair allocation) entirely.
-    // Full solutions are recomputed below for the ~`B` chosen pairs.
-    let unique: Vec<(usize, usize)> = {
-        let packed = &packed;
-        let block_reps = &block_reps;
-        let xbar_reps = &xbar_reps;
-        let col_idx = &col_idx;
-        let xbar_ctx = &xbar_ctx;
-        scoped_map_init(pairs, G1Scratch::default, |scratch, (ci, cj)| {
-            solve_reduced_g1_costs(
-                &packed[block_reps[ci]],
-                &col_idx[ci],
-                array.crossbar(xbar_reps[cj]),
-                &xbar_ctx[cj],
-                cfg.matcher,
-                scratch,
-            )
-        })
+    let (live_blocks, live_xbars, deferred) = if cfg.prune {
+        prune(&mut table)
+    } else {
+        ((0..b).collect(), (0..m).collect(), Vec::new())
     };
-    let cost_at =
-        |i: usize, j: usize| unique[block_class[i] as usize * xc_count + xbar_class[j] as usize];
-    let take_scratch = RefCell::new(G1Scratch::default());
 
-    let mapping = assemble_mapping(
-        n,
-        grid,
-        &block_meta,
-        &ones,
-        m,
-        cfg,
-        cost_at,
-        |i, j| {
-            // Deterministic re-solve of a chosen pair: same inputs as the
-            // cost-only pass, so the permutation realises exactly the
-            // `(mismatch, sa1)` the table promised. Crossbar `j` shares
-            // its fault planes with its class representative, so the
-            // class context applies verbatim.
-            solve_reduced_g1(
-                &packed[i],
-                &col_idx[block_class[i] as usize],
-                array.crossbar(j),
-                &xbar_ctx[xbar_class[j] as usize],
-                cfg.matcher,
-                &mut take_scratch.borrow_mut(),
-            )
-        },
-        true,
-    );
+    let mut chosen: Vec<(usize, usize)> = if live_blocks.is_empty() {
+        Vec::new()
+    } else if cfg.matcher == Matcher::BSuitor && cfg.locality.is_none() {
+        g2_greedy(&mut table, &live_blocks, &live_xbars)
+    } else {
+        table.fill(&live_blocks, &live_xbars);
+        let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
+            let (i, j) = (live_blocks[bi], live_xbars[xj]);
+            table.solved(i, j).0 as f64 + locality_penalty(cfg, m, grid, block_meta[i].0, j)
+        });
+        let sol = cfg.matcher.solve(&g2);
+        live_blocks
+            .iter()
+            .zip(&sol.assignment)
+            .map(|(&i, x)| (i, live_xbars[x.expect("G2 assigns every block")]))
+            .collect()
+    };
 
+    // Deferred blocks: first cheapest crossbar left over.
+    let all: Vec<usize> = (0..m).collect();
+    let mut search = MinSearch::new(&table, &all);
+    for &(_, j) in &chosen {
+        search.taken[j] = true;
+    }
+    for &i in &deferred {
+        let (_, j) = search
+            .first_min(&mut table, i)
+            .expect("b <= m guarantees a free crossbar for deferred blocks");
+        search.taken[j] = true;
+        chosen.push((i, j));
+    }
+
+    let placements = chosen
+        .into_iter()
+        .map(|(i, j)| {
+            let (row_perm, mismatch_cost, sa1_cost) = table.take(i, j);
+            let (block_row, block_col) = block_meta[i];
+            BlockPlacement {
+                block_row,
+                block_col,
+                crossbar: j,
+                row_perm,
+                mismatch_cost,
+                sa1_cost,
+            }
+        })
+        .collect();
+    let mapping = Mapping::new(n, grid, placements);
     cache.clear();
     cache.store(array, mapping.placements());
     mapping
@@ -1259,8 +1528,119 @@ pub mod reference {
             cfg,
             |i, j| (pair[i][j].1, pair[i][j].2),
             |i, j| pair[i][j].clone(),
-            false,
         )
+    }
+
+    /// Number of ones in a block (edge density × n²).
+    fn ones_count(block: &Matrix) -> usize {
+        block.count_where(|v| v > 0.5)
+    }
+
+    /// Back half of Algorithm 1 over an eager pair table: pruning
+    /// (lines 8–17) by the full `min`, the dense `G₂` solve over the live
+    /// sets, and greedy placement of deferred blocks.
+    ///
+    /// `cost_at(i, j)` returns `(mismatch, sa1)` for block `i` on crossbar
+    /// `j`; `take_at(i, j)` returns its full solution.
+    fn assemble_mapping<C, T>(
+        n: usize,
+        grid: usize,
+        block_meta: &[(usize, usize)],
+        ones: &[usize],
+        m: usize,
+        cfg: &MappingConfig,
+        cost_at: C,
+        take_at: T,
+    ) -> Mapping
+    where
+        C: Fn(usize, usize) -> (usize, usize),
+        T: Fn(usize, usize) -> PairSolution,
+    {
+        let b = block_meta.len();
+
+        // Pruning heuristic (lines 8-17).
+        let mut live_blocks: Vec<usize> = (0..b).collect();
+        let mut live_xbars: Vec<usize> = (0..m).collect();
+        let mut deferred_blocks: Vec<usize> = Vec::new();
+        if cfg.prune {
+            let mut j_idx = 0;
+            while j_idx < live_xbars.len() {
+                let j = live_xbars[j_idx];
+                let min_sa1 = live_blocks
+                    .iter()
+                    .map(|&i| cost_at(i, j).1)
+                    .min()
+                    .unwrap_or(0);
+                // The sparsest still-live block.
+                let sparsest = live_blocks
+                    .iter()
+                    .copied()
+                    .min_by_key(|&i| ones[i]);
+                let Some(sparsest) = sparsest else { break };
+                if min_sa1 > ones[sparsest] {
+                    if live_xbars.len() > live_blocks.len() {
+                        // Plenty of crossbars: drop this hopeless one.
+                        live_xbars.remove(j_idx);
+                        continue; // same j_idx now points at the next crossbar
+                    } else {
+                        // b == m: defer the sparsest block instead for freedom.
+                        live_blocks.retain(|&i| i != sparsest);
+                        deferred_blocks.push(sparsest);
+                    }
+                }
+                j_idx += 1;
+            }
+        }
+
+        // Final G₂ assignment over the live sets, optionally with the
+        // tile-locality penalty.
+        let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
+        let mut used_xbars = vec![false; m];
+        if !live_blocks.is_empty() {
+            let g2_entry = |i: usize, j: usize| -> f64 {
+                cost_at(i, j).0 as f64 + locality_penalty(cfg, m, grid, block_meta[i].0, j)
+            };
+            let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
+                g2_entry(live_blocks[bi], live_xbars[xj])
+            });
+            let sol = cfg.matcher.solve(&g2);
+            for (bi, assigned) in sol.assignment.iter().enumerate() {
+                let i = live_blocks[bi];
+                let j = live_xbars[assigned.expect("G2 assigns every block")];
+                used_xbars[j] = true;
+                let (perm, cost, sa1) = take_at(i, j);
+                let (br, bc) = block_meta[i];
+                placements.push(BlockPlacement {
+                    block_row: br,
+                    block_col: bc,
+                    crossbar: j,
+                    row_perm: perm,
+                    mismatch_cost: cost,
+                    sa1_cost: sa1,
+                });
+            }
+        }
+
+        // Deferred blocks: greedy best-remaining-crossbar placement.
+        for &i in &deferred_blocks {
+            let (br, bc) = block_meta[i];
+            let best = (0..m)
+                .filter(|&j| !used_xbars[j])
+                .min_by_key(|&j| cost_at(i, j).0)
+                .expect("b <= m guarantees a free crossbar for deferred blocks");
+            used_xbars[best] = true;
+            let (perm, cost, sa1) = take_at(i, best);
+            placements.push(BlockPlacement {
+                block_row: br,
+                block_col: bc,
+                crossbar: best,
+                row_perm: perm,
+                mismatch_cost: cost,
+                sa1_cost: sa1,
+            });
+        }
+
+        Mapping::new(n, grid, placements)
     }
 
     /// Serial oracle for [`super::refresh_row_permutations`].
@@ -1353,7 +1733,6 @@ pub mod reference {
             cfg,
             |i, j| (pair[i][j].1, pair[i][j].2),
             |i, j| pair[i][j].clone(),
-            false,
         )
     }
 
@@ -1390,6 +1769,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use fare_reram::{FaultSpec, StuckPolarity};
+    use fare_rt::prop::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use fare_rt::rand::rngs::StdRng;
     use fare_rt::rand::{Rng, SeedableRng};
 
@@ -1728,6 +2108,27 @@ mod tests {
     }
 
     #[test]
+    fn prune_keeps_crossbar_an_exactly_covering_block_fits() {
+        // Crossbar 0's six SA1 cells sit exactly under block (1,1)'s six
+        // ones, so that block — with no ones to spare — still fits it at
+        // SA1 cost 0 and the crossbar must not count as hopeless (b == m
+        // would otherwise defer the empty block).
+        let adj = defer_fixture();
+        let mut array = CrossbarArray::new(4, 4);
+        for &(r, c) in &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)] {
+            array
+                .crossbar_mut(0)
+                .inject_fault(r, c, StuckPolarity::StuckAtOne);
+        }
+        let cfg = MappingConfig::default();
+        let mapping = map_adjacency(&adj, &array, &cfg);
+        assert_eq!(mapping.total_cost(), 0);
+        assert_eq!(mapping.placement_for(1, 1).unwrap().crossbar, 0);
+        assert_eq!(mapping.placement_for(0, 0).unwrap().crossbar, 1);
+        assert_eq!(mapping, reference::map_adjacency(&adj, &array, &cfg));
+    }
+
+    #[test]
     fn fast_path_matches_reference_oracle() {
         for (seed, matcher) in [
             (50, Matcher::BSuitor),
@@ -1796,6 +2197,44 @@ mod tests {
             refresh_row_permutations_cached(&adj, &array, &warm, Matcher::BSuitor, &mut cache);
         let cold = refresh_row_permutations(&adj, &array, &mapping, Matcher::BSuitor);
         assert_eq!(warm, cold);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // `lower_bound ≤ sa1 ≤ mismatch` for every solved pair, at one-
+        // and multi-word widths, under both matchers; the batched
+        // `bounds_on` agrees with the per-pair bound.
+        #[test]
+        fn pair_lower_bound_is_sound(
+            seed in 0u64..1000,
+            wide in any::<bool>(),
+            ones in 0.0f64..0.3,
+            density in 0.0f64..0.15,
+        ) {
+            let n = if wide { 96 } else { 16 };
+            let adj = random_adj(2 * n, ones, seed);
+            let array = faulty_array(4, n, density, seed + 1);
+            let (_, blocks) = decompose(&adj, n);
+            let packed: Vec<PackedRows> =
+                blocks.iter().map(|(_, _, block)| PackedRows::from_matrix(block)).collect();
+            let xbars: Vec<usize> = (0..array.len()).collect();
+            for matcher in [Matcher::BSuitor, Matcher::Hungarian] {
+                let mut table = PairTable::new(&packed, &array, matcher);
+                for (i, (_, _, block)) in blocks.iter().enumerate() {
+                    let bounds = table.bounds_on(i, &xbars);
+                    for (j, &batched) in bounds.iter().enumerate() {
+                        let bound = table.lower_bound(i, j);
+                        let (mismatch, sa1) = table.cost(i, j);
+                        prop_assert_eq!(batched as usize, bound);
+                        prop_assert!(bound <= sa1 && sa1 <= mismatch);
+                        let (_, ref_mismatch, ref_sa1) =
+                            reference::solve_row_permutation(block, array.crossbar(j), matcher);
+                        prop_assert_eq!((mismatch, sa1), (ref_mismatch, ref_sa1));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
     refresh_row_permutations_cached, reordered_sequential_mapping, sequential_mapping,
-    MappingConfig, RemapCache,
+    LocalityConfig, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::Matcher;
@@ -28,6 +28,53 @@ fn instance(nodes: usize, n: usize, seed: u64, density: f64) -> (Matrix, Crossba
     let mut array = CrossbarArray::new(blocks * 2, n);
     array.inject(&FaultSpec::with_sa1_fraction(density, 0.5), &mut rng);
     (adj, array)
+}
+
+/// A trainer-shaped instance: a clustered sparse adjacency (dense
+/// clusters on the diagonal, few edges between them, so many blocks are
+/// empty) over `n × n` crossbars with slack 1.5, as the trainer maps its
+/// batches.
+fn clustered_instance(nodes: usize, n: usize, seed: u64, density: f64) -> (Matrix, CrossbarArray) {
+    use fare_rt::rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cluster = Vec::with_capacity(nodes);
+    while cluster.len() < nodes {
+        let size = rng.gen_range(3..=2 * n);
+        let id = cluster.last().map_or(0, |&c: &usize| c + 1);
+        cluster.extend(std::iter::repeat_n(id, size.min(nodes - cluster.len())));
+    }
+    let mut adj = Matrix::zeros(nodes, nodes);
+    for i in 0..nodes {
+        for j in (i + 1)..nodes {
+            let p = if cluster[i] == cluster[j] { 0.3 } else { 0.003 };
+            if rng.gen_bool(p) {
+                adj[(i, j)] = 1.0;
+                adj[(j, i)] = 1.0;
+            }
+        }
+    }
+    let blocks = nodes.div_ceil(n).pow(2);
+    let mut array = CrossbarArray::new(blocks * 3 / 2, n);
+    array.inject(&FaultSpec::with_sa1_fraction(density, 0.5), &mut rng);
+    (adj, array)
+}
+
+/// Every matcher/pruning/locality combination the lazy fast path
+/// branches on.
+fn fast_path_configs() -> Vec<MappingConfig> {
+    let mut cfgs = Vec::new();
+    for matcher in [Matcher::BSuitor, Matcher::Hungarian] {
+        for prune in [false, true] {
+            for locality in [None, Some(LocalityConfig::new(4, 1.5))] {
+                cfgs.push(MappingConfig {
+                    matcher,
+                    prune,
+                    locality,
+                });
+            }
+        }
+    }
+    cfgs
 }
 
 proptest! {
@@ -150,6 +197,27 @@ proptest! {
         prop_assert_eq!(fast, oracle);
     }
 
+    // The trainer's own shape: 16×16 crossbars, slack 1.5, clustered
+    // sparse batches with many empty blocks, and fault densities low
+    // enough that pruning both drops crossbars and defers blocks. The
+    // lazy pair table, bound-gated pruning, level-greedy `G₂` and
+    // deferred placement reproduce the eager oracle bit for bit under
+    // both matchers, with pruning on and off and with and without the
+    // locality term.
+    #[test]
+    fn trainer_shaped_fast_path_bit_identical_to_reference(
+        seed in 0u64..1000,
+        nodes in 32usize..=64,
+        density in 0.0f64..0.1,
+    ) {
+        let (adj, array) = clustered_instance(nodes, 16, seed, density);
+        for cfg in fast_path_configs() {
+            let fast = map_adjacency(&adj, &array, &cfg);
+            let oracle = reference::map_adjacency(&adj, &array, &cfg);
+            prop_assert_eq!(fast, oracle);
+        }
+    }
+
     // Restricting the `G₁` instance to the faulty physical rows loses
     // nothing for an exact solver: fault-free rows cost 0 against any
     // logical row, so the reduced `f × n` optimum equals the full
@@ -224,5 +292,20 @@ fn large_base_cost_spill_path_bit_identical() {
         let fast = map_adjacency(&adj, &array, &cfg);
         let oracle = reference::map_adjacency(&adj, &array, &cfg);
         assert_eq!(fast, oracle, "exact={exact}");
+    }
+}
+
+/// The trainer-shaped check at a multi-word crossbar width (`n` = 96,
+/// two `u64` words per packed row), where the pair lower bound sums
+/// column counts across word boundaries.
+#[test]
+fn trainer_shaped_multi_word_fast_path_bit_identical() {
+    for (seed, density) in [(0, 0.01), (1, 0.03)] {
+        let (adj, array) = clustered_instance(192, 96, seed, density);
+        for cfg in fast_path_configs() {
+            let fast = map_adjacency(&adj, &array, &cfg);
+            let oracle = reference::map_adjacency(&adj, &array, &cfg);
+            assert_eq!(fast, oracle, "seed {seed} {cfg:?}");
+        }
     }
 }

@@ -12,6 +12,25 @@ fn cost_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = CostMa
         })
 }
 
+/// Row → column of the greedy matching over the edges of the row-major
+/// `r × c` integer cost matrix `ints` in ascending `(cost, row, col)`
+/// order.
+fn greedy_by_edge_order(r: usize, c: usize, ints: &[u32]) -> Vec<u32> {
+    let mut edges: Vec<(u32, u32, u32)> = (0..r * c)
+        .map(|i| (ints[i], (i / c) as u32, (i % c) as u32))
+        .collect();
+    edges.sort_unstable();
+    let mut greedy = vec![u32::MAX; r];
+    let mut used = vec![false; c];
+    for (_, er, ec) in edges {
+        if greedy[er as usize] == u32::MAX && !used[ec as usize] {
+            greedy[er as usize] = ec;
+            used[ec as usize] = true;
+        }
+    }
+    greedy
+}
+
 proptest! {
     #[test]
     fn hungarian_produces_valid_full_assignment(cost in cost_matrix(7, 9)) {
@@ -122,24 +141,7 @@ proptest! {
         let (r, c) = dims;
         let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed ^ 0x6EED);
         let ints: Vec<u32> = (0..r * c).map(|_| rng.gen_range(0..=max_cost)).collect();
-
-        let mut edges: Vec<(u32, u32, u32)> = (0..r * c)
-            .map(|i| (ints[i], (i / c) as u32, (i % c) as u32))
-            .collect();
-        edges.sort_unstable();
-        let mut greedy = vec![u32::MAX; r];
-        let mut used = vec![false; c];
-        let mut matched = 0;
-        for (_, er, ec) in edges {
-            if matched == r {
-                break;
-            }
-            if greedy[er as usize] == u32::MAX && !used[ec as usize] {
-                greedy[er as usize] = ec;
-                used[ec as usize] = true;
-                matched += 1;
-            }
-        }
+        let greedy = greedy_by_edge_order(r, c, &ints);
 
         let suitor = fare_matching::bsuitor_assignment_ints(r, c, &ints);
         let suitor_cols: Vec<u32> = suitor
@@ -162,5 +164,32 @@ proptest! {
             prop_assert!(sol.is_valid());
             prop_assert_eq!(sol.matched_count(), cost.rows());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The equivalence the mapping layer's lazy G₂ placement rests on: the
+    // generic `f64` b-Suitor, on an integer-valued rectangular matrix of
+    // trainer scale (blocks × crossbars), assigns exactly the greedy
+    // matching over `(cost, row, col)`.
+    #[test]
+    fn generic_bsuitor_equals_greedy_on_integer_rectangles(
+        dims in (1usize..=40, 1usize..=60).prop_filter("r<=c", |(r, c)| r <= c),
+        seed in 0u64..500,
+        max_cost in 0u32..20,
+    ) {
+        use fare_rt::rand::{Rng, SeedableRng};
+        let (r, c) = dims;
+        let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed ^ 0x62E0);
+        let ints: Vec<u32> = (0..r * c).map(|_| rng.gen_range(0..=max_cost)).collect();
+        let cost = CostMatrix::from_fn(r, c, |i, j| ints[i * c + j] as f64);
+        let suitor: Vec<u32> = bsuitor_assignment(&cost)
+            .assignment
+            .iter()
+            .map(|col| col.expect("complete") as u32)
+            .collect();
+        prop_assert_eq!(suitor, greedy_by_edge_order(r, c, &ints));
     }
 }

@@ -163,9 +163,16 @@ fn write_escaped(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting inside the top-level value that [`parse`]
+/// accepts. The parser recurses once per level, so unbounded nesting
+/// would let hostile input overflow the stack; past this depth it
+/// returns a [`JsonError`] instead.
+pub const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -205,6 +212,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A value nested one level inside an array or object.
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = self.value();
+        self.depth -= 1;
+        value
+    }
+
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end of input"))? {
@@ -239,7 +257,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.nested()?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -264,7 +282,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let value = self.value()?;
+                    let value = self.nested()?;
                     fields.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -381,7 +399,7 @@ impl<'a> Parser<'a> {
 
 /// Parses a JSON document into a [`Json`] tree.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -827,6 +845,18 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let deep = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 2)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Far past the limit, as hostile input would be: an error, not a
+        // stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[derive(Debug)]

@@ -125,3 +125,20 @@ fn train_outcome_round_trips() {
     let stats: EpochStats = back.history[0];
     round_trip(&stats);
 }
+
+/// Hostile input: a manifest of 200 000 `[` characters. The parser's
+/// nesting bound turns it into a parse error, so `fare-report diff`
+/// reports a usage error (exit 2) instead of overflowing its stack.
+#[test]
+fn report_diff_rejects_deeply_nested_manifest() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deeply_nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("writes the hostile manifest");
+    assert!(fare_rt::json::parse(&std::fs::read_to_string(&path).unwrap()).is_err());
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fare-report"))
+        .arg("diff")
+        .arg(&path)
+        .arg(&path)
+        .output()
+        .expect("runs fare-report");
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
