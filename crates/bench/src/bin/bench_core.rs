@@ -20,19 +20,14 @@
 //! `fare-report diff BENCH_core.json <fresh.json>` compares bench runs
 //! across PRs with the one code path.
 
-use std::time::Instant;
-
-use fare_bench::string_flag;
+use fare_bench::{string_flag, time_ns};
 use fare_obs::RunManifest;
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::datasets::ModelKind;
 use fare_graph::{CsrGraph, GraphView};
-use fare_reram::mvm::{crossbar_matmul, crossbar_mvm};
-use fare_reram::weights::WeightFabric;
-use fare_reram::FaultSpec;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
-use fare_tensor::{init, ops, FixedFormat, Matrix};
+use fare_tensor::{init, ops, Matrix};
 
 /// Random undirected graph with ~`n * avg_degree / 2` distinct edges.
 /// Sampling pairs directly (instead of Erdős–Rényi's `n²` coin flips)
@@ -110,16 +105,6 @@ fn csr_gcn_step(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> 
     loss
 }
 
-/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n: usize = string_flag("--nodes")
@@ -177,45 +162,22 @@ fn main() {
         std::hint::black_box(view.gcn_norm().spmm(&x));
     });
 
-    // Crossbar matmul: per-row MVMs re-corrupt the fabric every row
-    // (the seed behaviour); the batched kernel corrupts once.
-    let (xb_rows, xb_cols, xb_batch) = if smoke { (64, 32, 32) } else { (128, 64, 256) };
-    let mut frng = StdRng::seed_from_u64(7);
-    let mut fabric = WeightFabric::for_shape(xb_rows, xb_cols, 16, FixedFormat::default());
-    fabric.inject(&FaultSpec::density(0.05), &mut frng);
-    let w = Matrix::from_fn(xb_rows, xb_cols, |_, _| frng.gen_range(-1.0f32..1.0));
-    let input = Matrix::from_fn(xb_batch, xb_rows, |_, _| frng.gen_range(-1.0f32..1.0));
-    let xb_size = format!("w={xb_rows}x{xb_cols},batch={xb_batch}");
-    let xb_pre_ns = time_ns(iters, || {
-        let mut out = Matrix::zeros(input.rows(), xb_cols);
-        for i in 0..input.rows() {
-            let y = crossbar_mvm(&fabric, &w, input.row(i));
-            out.row_mut(i).copy_from_slice(&y.output);
-        }
-        std::hint::black_box(out);
-    });
-    let xb_post_ns = time_ns(iters, || {
-        std::hint::black_box(crossbar_matmul(&fabric, &w, &input));
-    });
-
     let speedup = pre_ns / post_ns;
-    let rows: [(&str, &str, f64); 6] = [
-        ("gcn_fwd_bwd_dense_seed", &size, pre_ns),
-        ("gcn_fwd_bwd_csr", &size, post_ns),
-        ("gcn_aggregate_dense_seed", &size, agg_pre_ns),
-        ("gcn_aggregate_csr", &size, agg_post_ns),
-        ("crossbar_matmul_per_row_mvm", &xb_size, xb_pre_ns),
-        ("crossbar_matmul_batched", &xb_size, xb_post_ns),
+    let rows: [(&str, f64); 4] = [
+        ("gcn_fwd_bwd_dense_seed", pre_ns),
+        ("gcn_fwd_bwd_csr", post_ns),
+        ("gcn_aggregate_dense_seed", agg_pre_ns),
+        ("gcn_aggregate_csr", agg_post_ns),
     ];
-    let mut manifest = RunManifest::capture("bench_core", 7, &format!("{size};{xb_size}"))
+    let mut manifest = RunManifest::capture("bench_core", 7, &size)
         .with_bench("threads", threads as f64)
         .with_bench("speedup_gcn_fwd_bwd", speedup);
-    for (kernel, _, ns) in &rows {
+    for (kernel, ns) in &rows {
         manifest = manifest.with_bench(&format!("{kernel}.ns_per_iter"), *ns);
     }
 
-    for (kernel, sz, ns) in &rows {
-        println!("{kernel:<28} {sz:<28} {ns:>14.0} ns/iter  ({threads} threads)");
+    for (kernel, ns) in &rows {
+        println!("{kernel:<28} {size:<28} {ns:>14.0} ns/iter  ({threads} threads)");
     }
     println!("speedup (gcn fwd+bwd, dense seed → csr): {speedup:.1}x");
 

@@ -1,17 +1,13 @@
-//! Mapping-pipeline benchmark: the pre-fast-path full `n × n` Algorithm 1
-//! against the packed/deduped/reduced fast path that replaced it.
+//! Mapping-pipeline benchmark: the production Algorithm 1 fast path and
+//! the incremental post-deployment refresh.
 //!
-//! The "pre" numbers replicate the old pipeline faithfully — a full
-//! `n × n` cost matrix per (block, crossbar) pair built with the sparse
-//! per-fault mismatch kernels and solved with the generic edge-list
-//! b-Suitor, parallel over blocks only — via
-//! [`fare_core::mapping::reference::map_adjacency_full`]. The "post"
-//! numbers drive the production [`fare_core::map_adjacency`]: bitset
-//! mismatch kernels, faulty-rows-only `f × n` instances, (block-class,
-//! fault-class) deduplication, and pair-level parallelism. Before
-//! anything is timed the fast path is checked bit-identical to the
-//! serial reduced oracle, and the refresh paths are checked against the
-//! serial refresh oracle.
+//! [`fare_core::map_adjacency`] runs with bitset mismatch kernels,
+//! faulty-rows-only `f × n` instances, (block-class, fault-class)
+//! deduplication and lazy, lower-bound-gated pair costs. Before anything
+//! is timed the fast path is checked bit-identical to the serial reduced
+//! oracle, and the incremental refresh against the serial refresh oracle.
+//! The pre-fast-path full `n × n` pipeline is no longer timed; its
+//! historical numbers are frozen in DESIGN.md §6.
 //!
 //! ```text
 //! cargo run --release -p fare-bench --bin bench_mapping -- \
@@ -19,16 +15,12 @@
 //! ```
 //!
 //! Writes a [`fare_obs::RunManifest`] (default `BENCH_mapping.json`)
-//! with one `bench` entry per kernel (`<kernel>.ns_per_iter`) plus the
-//! headline `map_adjacency` speedup and the post-deployment refresh
-//! speedup (full re-solve → incremental cached refresh) — the same
+//! with one `bench` entry per kernel (`<kernel>.ns_per_iter`) — the same
 //! schema every other manifest in the workspace uses, so
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
 
-use std::time::Instant;
-
-use fare_bench::string_flag;
+use fare_bench::{string_flag, time_ns};
 use fare_obs::RunManifest;
 use fare_core::mapping::{self, reference};
 use fare_core::{map_adjacency, refresh_row_permutations_cached, MappingConfig, RemapCache};
@@ -54,24 +46,6 @@ fn random_adjacency(nodes: usize, avg_degree: usize, seed: u64) -> Matrix {
         }
     }
     adj
-}
-
-/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Single timed run, no warmup — for the slow baseline whose one
-/// execution already dominates the budget.
-fn time_once(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64
 }
 
 fn main() {
@@ -116,12 +90,8 @@ fn main() {
     let oracle = reference::map_adjacency(&adj, &array, &cfg);
     assert!(fast == oracle, "fast path diverges from the serial oracle");
 
-    eprintln!("timing full n x n pipeline (1 run)...");
-    let pre_ns = time_once(|| {
-        std::hint::black_box(reference::map_adjacency_full(&adj, &array, &cfg));
-    });
     eprintln!("timing fast path ({iters} iters)...");
-    let post_ns = time_ns(iters, || {
+    let map_ns = time_ns(iters, || {
         std::hint::black_box(map_adjacency(&adj, &array, &cfg));
     });
 
@@ -152,17 +122,8 @@ fn main() {
         "incremental refresh diverges from the serial oracle"
     );
 
-    eprintln!("timing full refresh (1 run)...");
-    let refresh_pre_ns = time_once(|| {
-        std::hint::black_box(reference::refresh_row_permutations_full(
-            &adj,
-            &array,
-            &mapping,
-            cfg.matcher,
-        ));
-    });
     eprintln!("timing incremental cached refresh ({iters} iters)...");
-    let refresh_post_ns = time_ns(iters, || {
+    let refresh_ns = time_ns(iters, || {
         let mut warm = pre_delta_cache.clone();
         std::hint::black_box(refresh_row_permutations_cached(
             &adj,
@@ -173,18 +134,12 @@ fn main() {
         ));
     });
 
-    let speedup = pre_ns / post_ns;
-    let refresh_speedup = refresh_pre_ns / refresh_post_ns;
-    let rows: [(&str, f64); 4] = [
-        ("map_adjacency_full_nxn", pre_ns),
-        ("map_adjacency_fast_path", post_ns),
-        ("refresh_full_resolve", refresh_pre_ns),
-        ("refresh_incremental_cached", refresh_post_ns),
+    let rows: [(&str, f64); 2] = [
+        ("map_adjacency_fast_path", map_ns),
+        ("refresh_incremental_cached", refresh_ns),
     ];
-    let mut manifest = RunManifest::capture("bench_mapping", 11, &size)
-        .with_bench("threads", threads as f64)
-        .with_bench("speedup_map_adjacency", speedup)
-        .with_bench("speedup_refresh", refresh_speedup);
+    let mut manifest =
+        RunManifest::capture("bench_mapping", 11, &size).with_bench("threads", threads as f64);
     for (kernel, ns) in &rows {
         manifest = manifest.with_bench(&format!("{kernel}.ns_per_iter"), *ns);
     }
@@ -192,8 +147,6 @@ fn main() {
     for (kernel, ns) in &rows {
         println!("{kernel:<28} {size:<52} {ns:>16.0} ns/iter  ({threads} threads)");
     }
-    println!("speedup (map_adjacency, full n x n -> fast path): {speedup:.1}x");
-    println!("speedup (refresh, full re-solve -> incremental): {refresh_speedup:.1}x");
 
     std::fs::write(&out_path, manifest.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

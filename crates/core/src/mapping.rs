@@ -70,8 +70,8 @@
 //! The [`reference`] module keeps a naive serial implementation of the
 //! same semantics — eager pair table, full `min` pruning, dense
 //! `Matcher::solve` — as the oracle the property tests pin the fast path
-//! against, plus the original full `n × n` pipeline used as the benchmark
-//! baseline.
+//! against, plus the original full `n × n` `G₁` solve that anchors the
+//! reduced instance.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -79,7 +79,6 @@ use std::collections::{BinaryHeap, HashMap};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
-use fare_rt::par::prelude::*;
 use fare_rt::par::scoped_map_init;
 use fare_tensor::Matrix;
 
@@ -1453,11 +1452,11 @@ fn refresh_row_permutations_cached_inner(
     refreshed
 }
 
-/// Naive serial oracles for the fast path, plus the pre-fast-path full
-/// `n × n` pipeline kept as the benchmark baseline.
+/// Naive serial oracles for the fast path, plus the full `n × n` `G₁`
+/// solve that anchors the reduced `f × n` instance.
 ///
 /// The functions here intentionally avoid the packed kernels, the class
-/// deduplication, the dense integer b-Suitor, and the worker pool: they
+/// deduplication, the level-greedy solver, and the worker pool: they
 /// are the smallest honest implementation of the mapping semantics. The
 /// property tests assert the production path is bit-identical to them.
 pub mod reference {
@@ -1676,8 +1675,9 @@ pub mod reference {
     }
 
     /// The original full `n × n` `G₁` solve: every physical row is a
-    /// column of the instance, fault-free ones included. Kept as the
-    /// benchmark baseline the fast path's speedup is measured against.
+    /// column of the instance, fault-free ones included. Under an exact
+    /// matcher its optimum equals the reduced instance's, which the
+    /// property tests pin pair by pair.
     pub fn solve_row_permutation_full(
         block: &Matrix,
         xbar: &Crossbar,
@@ -1702,67 +1702,6 @@ pub mod reference {
             .map(|(p, &q)| xbar.row_sa1_mismatch(block.row(p), q))
             .sum();
         (perm, mismatch, sa1)
-    }
-
-    /// The pre-fast-path pipeline: full `n × n` pair solves (parallel
-    /// over blocks, as before), no deduplication, no packed kernels.
-    /// This is the benchmark baseline; [`super::map_adjacency`] replaces
-    /// it in production.
-    pub fn map_adjacency_full(adj: &Matrix, array: &CrossbarArray, cfg: &MappingConfig) -> Mapping {
-        let n = array.n();
-        let (grid, blocks) = decompose(adj, n);
-        let b = blocks.len();
-        let m = array.len();
-        assert!(b <= m, "not enough crossbars: {b} blocks > {m} crossbars");
-        let pair: Vec<Vec<PairSolution>> = blocks
-            .par_iter()
-            .map(|(_, _, block)| {
-                (0..m)
-                    .map(|j| solve_row_permutation_full(block, array.crossbar(j), cfg.matcher))
-                    .collect()
-            })
-            .collect();
-        let block_meta: Vec<(usize, usize)> = blocks.iter().map(|(br, bc, _)| (*br, *bc)).collect();
-        let ones: Vec<usize> = blocks.iter().map(|(_, _, bl)| ones_count(bl)).collect();
-        assemble_mapping(
-            n,
-            grid,
-            &block_meta,
-            &ones,
-            m,
-            cfg,
-            |i, j| (pair[i][j].1, pair[i][j].2),
-            |i, j| pair[i][j].clone(),
-        )
-    }
-
-    /// Full-matrix refresh (the pre-fast-path maintenance step): re-solve
-    /// the full `n × n` instance for every placement. Benchmark baseline
-    /// for [`super::refresh_row_permutations_cached`].
-    pub fn refresh_row_permutations_full(
-        adj: &Matrix,
-        array: &CrossbarArray,
-        mapping: &Mapping,
-        matcher: Matcher,
-    ) -> Mapping {
-        let n = array.n();
-        assert_eq!(mapping.n(), n, "mapping crossbar size mismatch");
-        let placements = mapping
-            .placements()
-            .iter()
-            .map(|p| {
-                let block = adj.block(p.block_row * n, p.block_col * n, n, n);
-                let (perm, cost, sa1) =
-                    solve_row_permutation_full(&block, array.crossbar(p.crossbar), matcher);
-                BlockPlacement {
-                    row_perm: perm,
-                    mismatch_cost: cost,
-                    sa1_cost: sa1,
-                    ..p.clone()
-                }
-            })
-            .collect();
-        Mapping::new(n, mapping.grid(), placements)
     }
 }
 
@@ -2144,24 +2083,6 @@ mod tests {
             let fast = map_adjacency(&adj, &array, &cfg);
             let oracle = reference::map_adjacency(&adj, &array, &cfg);
             assert_eq!(fast, oracle, "seed {seed} {matcher}");
-        }
-    }
-
-    #[test]
-    fn hungarian_reduced_matches_full_total() {
-        // The reduced f×n instance and the full n×n instance have the
-        // same optimum: fault-free rows cost 0 against any logical row.
-        for seed in 60..63 {
-            let adj = random_adj(24, 0.12, seed);
-            let array = faulty_array(9, 8, 0.06, seed + 100);
-            let cfg = MappingConfig {
-                matcher: Matcher::Hungarian,
-                prune: false,
-                locality: None,
-            };
-            let reduced = map_adjacency(&adj, &array, &cfg);
-            let full = reference::map_adjacency_full(&adj, &array, &cfg);
-            assert_eq!(reduced.total_cost(), full.total_cost(), "seed {seed}");
         }
     }
 

@@ -93,7 +93,7 @@ fn parse_err(line: usize, message: impl Into<String>) -> ParseDataError {
 /// ```
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, ParseDataError> {
     let mut edges = Vec::new();
-    let mut max_id = 0usize;
+    let mut nodes = 0usize;
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -114,10 +114,13 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, ParseDataError>
         if parts.next().is_some() {
             return Err(parse_err(i + 1, "expected exactly two node ids"));
         }
-        max_id = max_id.max(u).max(v);
+        let end = u
+            .max(v)
+            .checked_add(1)
+            .ok_or_else(|| parse_err(i + 1, "node id too large"))?;
+        nodes = nodes.max(end);
         edges.push((u, v));
     }
-    let nodes = if edges.is_empty() { 0 } else { max_id + 1 };
     Ok(CsrGraph::from_edges(nodes, &edges))
 }
 
@@ -221,8 +224,9 @@ pub fn propagated_features(graph: &CsrGraph, dim: usize, seed: u64) -> Matrix {
 /// # Errors
 ///
 /// Returns [`ParseDataError::Parse`] (line 0) when the label count does
-/// not match the node count, features are mis-shaped, or labels are
-/// empty.
+/// not match the node count, features are mis-shaped, labels are empty,
+/// or the batching parameters cannot be trained on: `partitions` must be
+/// in `1..=nodes` and `clusters_per_batch` positive.
 pub fn assemble_dataset(
     graph: CsrGraph,
     labels: Vec<usize>,
@@ -240,6 +244,15 @@ pub fn assemble_dataset(
     }
     if n == 0 {
         return Err(parse_err(0, "empty graph"));
+    }
+    if partitions == 0 || partitions > n {
+        return Err(parse_err(
+            0,
+            format!("{partitions} partitions for {n} nodes; need 1..={n}"),
+        ));
+    }
+    if clusters_per_batch == 0 {
+        return Err(parse_err(0, "clusters_per_batch must be positive"));
     }
     let num_classes = labels.iter().max().map_or(0, |m| m + 1);
     if num_classes == 0 {
@@ -334,6 +347,13 @@ mod tests {
     }
 
     #[test]
+    fn edge_list_rejects_node_id_overflow() {
+        let err = read_edge_list("0 18446744073709551615\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 1"), "{err}");
+        assert!(err.to_string().contains("too large"), "{err}");
+    }
+
+    #[test]
     fn edge_list_rejects_garbage() {
         let err = read_edge_list("0 x\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 1"));
@@ -402,6 +422,28 @@ mod tests {
         assert_eq!(ds.num_classes, 2);
         assert_eq!(ds.spec.name, "custom");
         assert_eq!(ds.features.shape(), (4, 24));
+    }
+
+    #[test]
+    fn assemble_dataset_rejects_untrainable_batching() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let labels = vec![0, 1, 0, 1];
+        for (partitions, per_batch) in [(0, 1), (5, 1), (2, 0)] {
+            let err = assemble_dataset(g.clone(), labels.clone(), None, partitions, per_batch, 0)
+                .unwrap_err();
+            assert!(err.to_string().contains("line 0"), "{err}");
+        }
+        // The accepted extremes batch without panicking.
+        let ds = assemble_dataset(g, labels, None, 4, 9, 0).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let parts = crate::partition::partition(&ds.graph, ds.spec.partitions, &mut rng);
+        let batches = crate::batch::make_batches(
+            &ds.graph,
+            &parts,
+            ds.spec.clusters_per_batch,
+            &mut rng,
+        );
+        assert_eq!(batches.len(), 1);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! loops pay one predictable branch. `trace` is a strict superset of
 //! `json` (counters/timers/epochs still record). Telemetry never feeds
 //! back into any computation: enabling or disabling it must not change
-//! a single bit of any training output (pinned by
-//! `tests/determinism.rs`).
+//! a single bit of any training output (pinned by `tests/golden_trace.rs`).
 //!
 //! ## Determinism contract
 //!
@@ -43,8 +42,7 @@
 //! identical at any `FARE_RT_THREADS`. Combined with the fixed clock
 //! (which also drives trace timestamps, see [`trace`]) this makes the
 //! whole [`RunManifest`] — and the full span trace — bit-identical
-//! across thread counts, the property `tests/golden_trace.rs` and
-//! `tests/trace_golden.rs` snapshot.
+//! across thread counts, the property `tests/golden_trace.rs` pins.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -243,10 +241,6 @@ pub mod counters {
     pub static RERAM_MVM_CALLS: Counter = Counter::new("reram.mvm.calls");
     /// Pipeline cycles attributed to those MVMs.
     pub static RERAM_MVM_CYCLES: Counter = Counter::new("reram.mvm.cycles");
-    /// Whole-matrix faulty matmuls (`crossbar_matmul`).
-    pub static RERAM_MATMUL_CALLS: Counter = Counter::new("reram.matmul.calls");
-    /// Input rows pushed through `crossbar_matmul`.
-    pub static RERAM_MATMUL_ROWS: Counter = Counter::new("reram.matmul.rows");
     /// Discrete-event pipeline simulations (`pipeline::simulate`).
     pub static RERAM_PIPELINE_SIMS: Counter = Counter::new("reram.pipeline.sims");
     /// Batches scheduled across all pipeline simulations.
@@ -290,7 +284,7 @@ pub mod counters {
     /// Every counter, in manifest order. **Register new counters here**
     /// or they will silently stay out of every manifest.
     pub fn all() -> &'static [&'static Counter] {
-        static ALL: [&Counter; 25] = [
+        static ALL: [&Counter; 23] = [
             &RERAM_FAULTS_INJECTED_SA0,
             &RERAM_FAULTS_INJECTED_SA1,
             &RERAM_FAULTS_CLEARED,
@@ -298,8 +292,6 @@ pub mod counters {
             &RERAM_CROSSBARS_CORRUPTED,
             &RERAM_MVM_CALLS,
             &RERAM_MVM_CYCLES,
-            &RERAM_MATMUL_CALLS,
-            &RERAM_MATMUL_ROWS,
             &RERAM_PIPELINE_SIMS,
             &RERAM_PIPELINE_BATCHES,
             &RERAM_TIMING_EVALS,
@@ -635,18 +627,19 @@ impl RunManifest {
 // Tests
 // ---------------------------------------------------------------------------
 
+/// Mode, clock, counters, timers, sinks and the trace ring are
+/// process-global; every unit test in this crate that touches them takes
+/// this one lock.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Counters/timers/sink are process-global; serialise the tests
-    /// that mutate them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock as lock;
 
     #[test]
     fn counters_are_inert_when_disabled() {

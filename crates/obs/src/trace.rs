@@ -24,7 +24,7 @@
 //!   only emitted on logical event paths (never inside `fare-rt`
 //!   worker closures — same rule as counters), the byte stream is
 //!   identical at any `FARE_RT_THREADS`, which is what
-//!   `tests/trace_golden.rs` pins.
+//!   `tests/golden_trace.rs` pins.
 //!
 //! The event sequence (and the wall epoch) rewind on
 //! [`reset`](crate::reset), so every instrumented run starts its
@@ -328,6 +328,17 @@ impl TraceLog {
         out
     }
 
+    /// `Err` when the ring evicted events: a truncated stream can be
+    /// neither pinned by digest nor trusted for time attribution.
+    pub fn ensure_complete(&self) -> Result<(), String> {
+        match self.dropped {
+            0 => Ok(()),
+            n => Err(format!(
+                "trace ring dropped {n} events; the stream is truncated"
+            )),
+        }
+    }
+
     /// Check the structural invariants of a span stream: every end
     /// matches the innermost open begin of the same name, nothing is
     /// left open, and timestamps never decrease. Returns a description
@@ -382,14 +393,8 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_lock as lock;
     use crate::{set_clock, set_mode, ClockMode, Mode};
-    use std::sync::MutexGuard;
-
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn fixture() -> TraceLog {
         TraceLog::from_events(
@@ -539,6 +544,10 @@ mod tests {
         assert_eq!(log.dropped, 8);
         // Survivors are the newest events.
         assert_eq!(log.events.last().unwrap().ts_ns, 11);
+        // A truncated stream is refused; a whole one passes.
+        let err = log.ensure_complete().unwrap_err();
+        assert!(err.contains("dropped 8 events"), "{err}");
+        assert_eq!(fixture().ensure_complete(), Ok(()));
     }
 
     #[test]

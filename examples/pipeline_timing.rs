@@ -130,7 +130,7 @@ fn main() {
         modeled_path
     );
 
-    let (_, measured) = fare::golden::capture_trace();
+    let measured = fare::golden::capture(fare::obs::Mode::Trace).trace;
     let measured_path = format!("{out_dir}/pipeline_measured.trace.json");
     std::fs::write(&measured_path, measured.to_chrome()).expect("write measured trace");
     println!(

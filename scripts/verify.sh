@@ -26,7 +26,7 @@ else
     echo "    (skipped: --quick)"
 fi
 
-echo "==> offline debug build (all targets: tests, benches, examples)"
+echo "==> offline debug build (all targets: tests, examples)"
 cargo build --offline --workspace --all-targets
 
 echo "==> offline test suite"
@@ -38,10 +38,10 @@ echo "==> determinism suite across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
 
-echo "==> golden telemetry trace across thread counts"
-# The committed golden manifest (tests/golden/golden_trace.json) must be
+echo "==> golden manifest and span trace across thread counts"
+# The committed golden manifest and trace digest (tests/golden/) must be
 # reproduced bit-for-bit on a serial and a parallel pool: counters count
-# logical events and the telemetry clock is fixed, so the trace may not
+# logical events and the telemetry clock is fixed, so neither may
 # depend on worker count.
 FARE_RT_THREADS=1 cargo test -q --offline --test golden_trace
 FARE_RT_THREADS=4 cargo test -q --offline --test golden_trace
@@ -54,6 +54,11 @@ FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test proptests -- \
     fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full
 FARE_RT_THREADS=4 cargo test -q --offline -p fare-core --test proptests -- \
     fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full
+
+echo "==> end-to-end benchmark tests"
+# The benchmark package (its own workspace) drives the crates through
+# their public API; a crate change that breaks that use fails here.
+cargo test -q --release --offline --manifest-path e2e-bench/Cargo.toml
 
 echo "==> compute-core bench smoke"
 BENCH_TMP="$(mktemp /tmp/bench_core.XXXXXX.json)"

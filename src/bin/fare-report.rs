@@ -15,7 +15,8 @@
 //!   output.
 //! - `run-golden --out <path>` — execute the golden workload under
 //!   `FARE_OBS=trace` and write its manifest (and optionally the JSONL
-//!   / Chrome traces), producing the fresh side for `diff`.
+//!   / Chrome traces), producing the fresh side for `diff`. Fails
+//!   (exit 2) when the trace ring dropped events.
 //!
 //! Exit codes: 0 success, 1 regression/check failure, 2 usage error.
 
@@ -200,12 +201,14 @@ fn cmd_run_golden(mut args: Vec<String>) -> Result<ExitCode, String> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }
-    let (manifest, trace) = fare::golden::capture_trace();
-    std::fs::write(&out, manifest.to_json_pretty() + "\n").map_err(|e| format!("{out}: {e}"))?;
+    let golden = fare::golden::capture(obs::Mode::Trace);
+    let trace = golden.trace;
+    trace.ensure_complete()?;
+    std::fs::write(&out, golden.manifest.to_json_pretty() + "\n")
+        .map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "run-golden: wrote {out} ({} events traced, {} dropped)",
-        trace.events.len(),
-        trace.dropped
+        "run-golden: wrote {out} ({} events traced)",
+        trace.events.len()
     );
     if let Some(path) = jsonl {
         std::fs::write(&path, trace.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;

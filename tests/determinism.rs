@@ -168,18 +168,15 @@ fn training_identical_across_thread_counts() {
     assert_eq!(one, four);
 }
 
-/// Every parallel compute kernel — the dense matmul family, the sparse
-/// aggregation kernels, and the crossbar matmul — produces bit-identical
+/// Every parallel compute kernel — the dense matmul family and the
+/// sparse aggregation kernels — produces bit-identical
 /// output at 1, 2 and 8 threads. All of them partition work by disjoint
 /// output rows, so no floating-point reduction can be reordered.
 #[test]
 fn compute_kernels_identical_across_thread_counts() {
     let _g = lock();
     use fare::graph::{generate, CsrMatrix, GraphView};
-    use fare::reram::mvm::crossbar_matmul;
-    use fare::reram::weights::WeightFabric;
-    use fare::reram::FaultSpec as Spec;
-    use fare::tensor::{init, FixedFormat};
+    use fare::tensor::init;
     use fare_rt::rand::{Rng, SeedableRng};
 
     let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(31);
@@ -187,8 +184,6 @@ fn compute_kernels_identical_across_thread_counts() {
     let x = init::normal(64, 12, 1.0, &mut rng);
     let a = Matrix::from_fn(33, 17, |_, _| rng.gen_range(-1.0f32..1.0));
     let b = Matrix::from_fn(17, 9, |_, _| rng.gen_range(-1.0f32..1.0));
-    let mut fabric = WeightFabric::for_shape(17, 9, 16, FixedFormat::default());
-    fabric.inject(&Spec::density(0.05), &mut rng);
     let view = GraphView::from_graph(&g);
     let sparse = CsrMatrix::from_dense(&g.to_dense());
 
@@ -204,7 +199,6 @@ fn compute_kernels_identical_across_thread_counts() {
             g.mean_aggregate(&x),
             sparse.spmm(&x),
             view.gcn_norm().spmm(&x),
-            crossbar_matmul(&fabric, &b, &a),
         ]
     };
     let one = run(1);
