@@ -112,8 +112,7 @@ fn sample_negatives(
 ///
 /// Panics on the same configuration errors as [`crate::Trainer::new`].
 pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -> LinkOutcome {
-    assert!(config.epochs > 0, "epochs must be positive");
-    assert_eq!(config.crossbar_size % 8, 0, "crossbar size must be a multiple of 8");
+    config.validate().unwrap_or_else(|e| panic!("invalid TrainConfig: {e}"));
     let cfg = config;
     let mut rng = fare_rt::domain_rng(seed, "link-prediction");
     let n_xbar = cfg.crossbar_size;
@@ -335,5 +334,16 @@ mod tests {
         let a = run_link_prediction(&config(FaultStrategy::FaRe, 0.03, 3), 7, &ds);
         let b = run_link_prediction(&config(FaultStrategy::FaRe, 0.03, 3), 7, &ds);
         assert_eq!(a.history, b.history);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossbar slack must be finite and >= 1.0")]
+    fn rejects_slack_below_one() {
+        let ds = Dataset::generate(DatasetKind::Ppi, 8);
+        let cfg = TrainConfig {
+            crossbar_slack: 0.5,
+            ..config(FaultStrategy::FaRe, 0.0, 1)
+        };
+        run_link_prediction(&cfg, 8, &ds);
     }
 }

@@ -1181,15 +1181,6 @@ pub fn map_adjacency_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let _span = fare_obs::trace::span("core.mapping.map_adjacency");
-    fare_obs::timers::CORE_MAPPING_MAP.time(|| map_adjacency_cached_inner(adj, array, cfg, cache))
-}
-
-fn map_adjacency_cached_inner(
-    adj: &Matrix,
-    array: &CrossbarArray,
-    cfg: &MappingConfig,
-    cache: &mut RemapCache,
-) -> Mapping {
     fare_obs::counters::CORE_MAPPINGS_BUILT.incr();
     let n = array.n();
     let (grid, blocks) = decompose(adj, n);
@@ -1383,17 +1374,6 @@ pub fn refresh_row_permutations_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let _span = fare_obs::trace::span("core.mapping.refresh");
-    fare_obs::timers::CORE_MAPPING_REFRESH
-        .time(|| refresh_row_permutations_cached_inner(adj, array, mapping, matcher, cache))
-}
-
-fn refresh_row_permutations_cached_inner(
-    adj: &Matrix,
-    array: &CrossbarArray,
-    mapping: &Mapping,
-    matcher: Matcher,
-    cache: &mut RemapCache,
-) -> Mapping {
     let n = array.n();
     assert_eq!(mapping.n, n, "mapping crossbar size mismatch");
     assert_eq!(

@@ -71,6 +71,38 @@ pub struct TrainConfig {
 
 fare_rt::json_struct!(TrainConfig { model, hidden_dim, depth, epochs, learning_rate, weight_decay, grad_clip_norm, clip_threshold, fault_spec, weight_variation_sigma, weight_drift_sigma, post_deployment_density, strategy, crossbar_size, crossbar_slack, matcher, weight_faults, adjacency_faults, post_refresh });
 
+impl TrainConfig {
+    /// Checks what every training entry point relies on: epochs > 0,
+    /// depth ≥ 2, crossbar size a positive multiple of 8, finite
+    /// crossbar slack ≥ 1 and post-deployment density in [0, 1].
+    ///
+    /// # Errors
+    ///
+    /// The rule the first failing field breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let rules = [
+            (self.epochs > 0, "epochs must be positive"),
+            (self.depth >= 2, "depth must be at least 2"),
+            (
+                self.crossbar_size > 0 && self.crossbar_size.is_multiple_of(8),
+                "crossbar size must be a positive multiple of 8",
+            ),
+            (
+                self.crossbar_slack.is_finite() && self.crossbar_slack >= 1.0,
+                "crossbar slack must be finite and >= 1.0",
+            ),
+            (
+                (0.0..=1.0).contains(&self.post_deployment_density),
+                "post-deployment density must be in [0, 1]",
+            ),
+        ];
+        match rules.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, rule)) => Err(rule.to_string()),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for TrainConfig {
     fn default() -> Self {
         Self {
@@ -208,13 +240,10 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (zero epochs, crossbar
-    /// size not a multiple of 8, non-positive slack).
+    /// Panics with the message of [`TrainConfig::validate`] if the
+    /// configuration is invalid.
     pub fn new(config: TrainConfig, seed: u64) -> Self {
-        assert!(config.epochs > 0, "epochs must be positive");
-        assert!(config.depth >= 2, "depth must be at least 2");
-        assert_eq!(config.crossbar_size % 8, 0, "crossbar size must be a multiple of 8");
-        assert!(config.crossbar_slack >= 1.0, "crossbar slack must be >= 1.0");
+        config.validate().unwrap_or_else(|e| panic!("invalid TrainConfig: {e}"));
         Self { config, seed }
     }
 
@@ -227,10 +256,6 @@ impl Trainer {
     ///
     /// Deterministic for a given `(config, seed, dataset)`.
     pub fn run(&self, dataset: &Dataset) -> TrainOutcome {
-        fare_obs::timers::CORE_TRAINER_RUN.time(|| self.run_inner(dataset))
-    }
-
-    fn run_inner(&self, dataset: &Dataset) -> TrainOutcome {
         fare_obs::counters::CORE_TRAINER_RUNS.incr();
         let _run_span = fare_obs::trace::span("core.trainer.run");
         let cfg = &self.config;
@@ -546,7 +571,12 @@ fn crossbar_heatmap(
 /// Uses the same partitioning, batching, model init and update schedule
 /// as [`Trainer::run`] so accuracy differences isolate the hardware
 /// effects.
+///
+/// # Panics
+///
+/// Panics on the same configuration errors as [`Trainer::new`].
 pub fn run_fault_free(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
+    config.validate().unwrap_or_else(|e| panic!("invalid TrainConfig: {e}"));
     let mut rng = fare_rt::domain_rng(seed, "trainer");
     let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
     let batches = make_batches(
@@ -853,5 +883,37 @@ mod tests {
             },
             0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "crossbar size must be a positive multiple of 8")]
+    fn rejects_zero_crossbar_size() {
+        Trainer::new(TrainConfig { crossbar_size: 0, ..TrainConfig::default() }, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "epochs must be positive")]
+    fn fault_free_rejects_zero_epochs() {
+        let ds = Dataset::generate(DatasetKind::Ppi, 0);
+        run_fault_free(&TrainConfig { epochs: 0, ..TrainConfig::default() }, 0, &ds);
+    }
+
+    #[test]
+    fn validate_accepts_default_and_names_each_bad_field() {
+        assert_eq!(TrainConfig::default().validate(), Ok(()));
+        let base = TrainConfig::default();
+        let bad = [
+            (TrainConfig { epochs: 0, ..base }, "epochs"),
+            (TrainConfig { depth: 1, ..base }, "depth"),
+            (TrainConfig { crossbar_size: 0, ..base }, "crossbar size"),
+            (TrainConfig { crossbar_slack: 0.5, ..base }, "slack"),
+            (TrainConfig { crossbar_slack: f64::NAN, ..base }, "slack"),
+            (TrainConfig { post_deployment_density: 1.5, ..base }, "post-deployment"),
+            (TrainConfig { post_deployment_density: -0.1, ..base }, "post-deployment"),
+        ];
+        for (config, field) in bad {
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 }

@@ -300,17 +300,34 @@ fn large_base_cost_spill_path_bit_identical() {
     }
 }
 
-/// The trainer-shaped check at a multi-word crossbar width (`n` = 96,
-/// two `u64` words per packed row), where the pair lower bound sums
-/// column counts across word boundaries.
+/// The trainer-shaped check at fixed inputs outside the proptest
+/// ranges: a multi-word crossbar width (`n` = 96, two `u64` words per
+/// packed row), where the pair lower bound sums column counts across
+/// word boundaries, and 256 nodes on 32×32 crossbars at 5 % faults
+/// under the default config (the oracle's cost at that size keeps it to
+/// one config). After a post-deployment delta, the cached refresh must
+/// also equal the serial refresh oracle.
 #[test]
-fn trainer_shaped_multi_word_fast_path_bit_identical() {
-    for (seed, density) in [(0, 0.01), (1, 0.03)] {
-        let (adj, array) = clustered_instance(192, 96, seed, density);
-        for cfg in fast_path_configs() {
-            let fast = map_adjacency(&adj, &array, &cfg);
+fn trainer_shaped_fixed_inputs_bit_identical() {
+    let inputs = [
+        (192, 96, 0, 0.01, fast_path_configs()),
+        (192, 96, 1, 0.03, fast_path_configs()),
+        (256, 32, 11, 0.05, vec![MappingConfig::default()]),
+    ];
+    for (nodes, n, seed, density, cfgs) in inputs {
+        let (adj, array) = clustered_instance(nodes, n, seed, density);
+        for cfg in cfgs {
+            let mut cache = RemapCache::new();
+            let fast = map_adjacency_cached(&adj, &array, &cfg, &mut cache);
             let oracle = reference::map_adjacency(&adj, &array, &cfg);
-            assert_eq!(fast, oracle, "seed {seed} {cfg:?}");
+            assert_eq!(fast, oracle, "{nodes} nodes, n {n}, seed {seed} {cfg:?}");
+
+            let mut grown = array.clone();
+            grown.inject(&FaultSpec::density(0.01), &mut StdRng::seed_from_u64(seed ^ 0x5EED));
+            let incremental =
+                refresh_row_permutations_cached(&adj, &grown, &fast, cfg.matcher, &mut cache);
+            let oracle = reference::refresh_row_permutations(&adj, &grown, &fast, cfg.matcher);
+            assert_eq!(incremental, oracle, "refresh: {nodes} nodes, n {n}, seed {seed} {cfg:?}");
         }
     }
 }

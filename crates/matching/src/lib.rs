@@ -14,8 +14,6 @@
 //! - [`bsuitor`] — the suitor-based ½-approximation for weighted
 //!   b-matching from Khan et al. (the algorithm the paper cites as its
 //!   implementation choice),
-//! - [`auction`] — Bertsekas' ε-scaled auction algorithm (exact on the
-//!   integer mismatch costs Algorithm 1 produces),
 //! - [`greedy`] — a cheap baseline used in ablations,
 //! - [`Matcher`] — a selector enum so callers can swap solvers.
 //!
@@ -36,12 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod auction;
 pub mod bsuitor;
 mod cost;
 mod hungarian;
 
-pub use auction::auction;
 pub use bsuitor::{bsuitor_assignment, bsuitor_matching, Edge};
 pub use cost::CostMatrix;
 pub use hungarian::hungarian;
@@ -102,13 +98,11 @@ pub enum Matcher {
     /// Suitor-based ½-approximation (paper's choice).
     #[default]
     BSuitor,
-    /// Bertsekas auction with ε-scaling (exact on integer costs).
-    Auction,
     /// Row-by-row greedy (ablation baseline).
     Greedy,
 }
 
-fare_rt::json_enum!(Matcher { Hungarian, BSuitor, Auction, Greedy });
+fare_rt::json_enum!(Matcher { Hungarian, BSuitor, Greedy });
 
 impl Matcher {
     /// Solves the min-cost assignment of `cost` with this solver.
@@ -120,7 +114,6 @@ impl Matcher {
         match self {
             Matcher::Hungarian => hungarian(cost),
             Matcher::BSuitor => bsuitor_assignment(cost),
-            Matcher::Auction => auction(cost),
             Matcher::Greedy => greedy(cost),
         }
     }
@@ -131,7 +124,6 @@ impl std::fmt::Display for Matcher {
         match self {
             Matcher::Hungarian => write!(f, "hungarian"),
             Matcher::BSuitor => write!(f, "b-suitor"),
-            Matcher::Auction => write!(f, "auction"),
             Matcher::Greedy => write!(f, "greedy"),
         }
     }
@@ -201,12 +193,7 @@ mod tests {
     #[test]
     fn matcher_solves_with_all_variants() {
         let cost = square();
-        for m in [
-            Matcher::Hungarian,
-            Matcher::BSuitor,
-            Matcher::Auction,
-            Matcher::Greedy,
-        ] {
+        for m in [Matcher::Hungarian, Matcher::BSuitor, Matcher::Greedy] {
             let sol = m.solve(&cost);
             assert!(sol.is_valid(), "{m} produced invalid assignment");
             assert_eq!(sol.matched_count(), 3, "{m} left rows unmatched");
@@ -217,7 +204,6 @@ mod tests {
     fn matcher_display() {
         assert_eq!(Matcher::Hungarian.to_string(), "hungarian");
         assert_eq!(Matcher::BSuitor.to_string(), "b-suitor");
-        assert_eq!(Matcher::Auction.to_string(), "auction");
         assert_eq!(Matcher::Greedy.to_string(), "greedy");
     }
 

@@ -91,7 +91,7 @@ impl HeatmapGrid {
                 .sa0
                 .iter()
                 .zip(&self.sa1)
-                .map(|(&a, &b)| (a + b) as f64)
+                .map(|(&a, &b)| a as f64 + b as f64)
                 .collect(),
             "mismatch" => self.mismatch.iter().map(|&v| v as f64).collect(),
             "mvms" => self.mvms.iter().map(|&v| v as f64).collect(),

@@ -7,22 +7,25 @@
 //!   invocations, `RemapCache` hits/misses, … The full taxonomy lives
 //!   in [`counters`] and every counter is registered there, so a run
 //!   manifest can enumerate them all.
-//! - **span timers** ([`SpanTimer`]) with an injectable clock
-//!   ([`ClockMode`]): under [`ClockMode::Fixed`] every span records a
-//!   constant duration, so timer records stay bit-identical across
-//!   `FARE_RT_THREADS` settings and golden traces can include them.
+//! - **spans** ([`trace::span`]), the one timing primitive: every
+//!   completed span adds a count and its duration to a per-name total
+//!   under an injectable clock ([`ClockMode`]). Under
+//!   [`ClockMode::Fixed`] every span lasts a constant step, so the
+//!   totals stay bit-identical across `FARE_RT_THREADS` settings and
+//!   golden traces can include them.
 //! - a **per-epoch metrics sink** ([`record_epoch`]) the trainer feeds,
 //! - **hierarchical span tracing** ([`trace`]) behind `FARE_OBS=trace`:
-//!   nested begin/end events (train run → epoch → batch → {aggregate,
-//!   matmul, mvm, map_adjacency, remap_refresh}) in a bounded ring
-//!   buffer, exportable as a JSONL stream or a Chrome Trace Event
-//!   Format JSON (`chrome://tracing` / Perfetto),
+//!   the same spans also emit nested begin/end events (train run →
+//!   epoch → batch → {forward, backward, aggregate, matmul},
+//!   map_adjacency, refresh) into a bounded ring buffer, exportable as
+//!   a JSONL stream or a Chrome Trace Event Format JSON
+//!   (`chrome://tracing` / Perfetto),
 //! - **spatial heatmaps** ([`heatmap`]): per-crossbar accumulators
 //!   (SA0/SA1 fault cells, mismatch cost, MVM traffic, modeled energy)
 //!   rolled up into [`HeatmapGrid`]s on the manifest,
-//! - and a [`RunManifest`] — seed, config, counter totals, epoch curve,
-//!   heatmaps and optional bench numbers — serialised via `fare-rt`
-//!   JSON.
+//! - and a [`RunManifest`] — seed, config, counter totals, span
+//!   totals, epoch curve, heatmaps and optional bench numbers —
+//!   serialised via `fare-rt` JSON.
 //!
 //! ## Overhead contract
 //!
@@ -30,7 +33,7 @@
 //! (default **off**). Every recording call starts with a single relaxed
 //! atomic load; when disabled nothing else happens, so instrumented hot
 //! loops pay one predictable branch. `trace` is a strict superset of
-//! `json` (counters/timers/epochs still record). Telemetry never feeds
+//! `json` (counters/span totals/epochs still record). Telemetry never feeds
 //! back into any computation: enabling or disabling it must not change
 //! a single bit of any training output (pinned by `tests/golden_trace.rs`).
 //!
@@ -46,7 +49,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use fare_rt::json::ToJson;
 
@@ -60,9 +62,9 @@ pub use heatmap::HeatmapGrid;
 // ---------------------------------------------------------------------------
 
 /// Telemetry mode: `Off` makes every recording call a no-op after one
-/// relaxed atomic load; `Json` records counters/timers/epochs/heatmaps
-/// so a [`RunManifest`] can be captured; `Trace` additionally records
-/// nested spans into the [`trace`] ring buffer.
+/// relaxed atomic load; `Json` records counters/span totals/epochs/
+/// heatmaps so a [`RunManifest`] can be captured; `Trace` additionally
+/// records span begin/end events into the [`trace`] ring buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     Off,
@@ -131,7 +133,7 @@ pub fn mode() -> Mode {
 // Clock injection
 // ---------------------------------------------------------------------------
 
-/// The clock behind every [`SpanTimer`].
+/// The clock behind every [`trace::span`].
 ///
 /// * `Wall` — real monotonic time (`std::time::Instant`); durations are
 ///   informative but not reproducible.
@@ -150,7 +152,7 @@ pub enum ClockMode {
 static CLOCK_KIND: AtomicU8 = AtomicU8::new(0);
 static CLOCK_STEP: AtomicU64 = AtomicU64::new(0);
 
-/// Install the clock used by all span timers.
+/// Install the clock used by all spans.
 pub fn set_clock(clock: ClockMode) {
     match clock {
         ClockMode::Wall => CLOCK_KIND.store(0, Ordering::Relaxed),
@@ -314,88 +316,6 @@ pub mod counters {
 }
 
 // ---------------------------------------------------------------------------
-// Span timers
-// ---------------------------------------------------------------------------
-
-/// A named span timer: counts completed spans and accumulates their
-/// duration under the installed [`ClockMode`]. Declare as a `static`
-/// in [`timers`] and register it in [`timers::all`].
-pub struct SpanTimer {
-    name: &'static str,
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-impl SpanTimer {
-    pub const fn new(name: &'static str) -> Self {
-        SpanTimer {
-            name,
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Time `f` as one span. When telemetry is off this is just `f()`.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        if !enabled() {
-            return f();
-        }
-        match clock() {
-            ClockMode::Fixed(step) => {
-                let out = f();
-                self.count.fetch_add(1, Ordering::Relaxed);
-                self.total_ns.fetch_add(step, Ordering::Relaxed);
-                out
-            }
-            ClockMode::Wall => {
-                let start = Instant::now();
-                let out = f();
-                let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.count.fetch_add(1, Ordering::Relaxed);
-                self.total_ns.fetch_add(elapsed, Ordering::Relaxed);
-                out
-            }
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The span-timer registry; same registration rule as [`counters`].
-pub mod timers {
-    use super::SpanTimer;
-
-    /// One whole `Trainer::run` (partition → map → epochs → evaluate).
-    pub static CORE_TRAINER_RUN: SpanTimer = SpanTimer::new("core.trainer.run");
-    /// One full Algorithm-1 adjacency mapping.
-    pub static CORE_MAPPING_MAP: SpanTimer = SpanTimer::new("core.mapping.map_adjacency");
-    /// One incremental post-BIST row-permutation refresh.
-    pub static CORE_MAPPING_REFRESH: SpanTimer = SpanTimer::new("core.mapping.refresh");
-
-    /// Every timer, in manifest order.
-    pub fn all() -> &'static [&'static SpanTimer] {
-        static ALL: [&SpanTimer; 3] = [&CORE_TRAINER_RUN, &CORE_MAPPING_MAP, &CORE_MAPPING_REFRESH];
-        &ALL
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Per-epoch metrics sink
 // ---------------------------------------------------------------------------
 
@@ -438,15 +358,12 @@ pub fn epochs_recorded() -> Vec<EpochRecord> {
 // Reset
 // ---------------------------------------------------------------------------
 
-/// Zero every counter and timer, clear the epoch and heatmap sinks and
-/// the trace buffer (rewinding the trace timeline to t=0). Call at the
+/// Zero every counter, clear the span totals, the epoch and heatmap
+/// sinks and the trace buffer (rewinding the trace timeline to t=0). Call at the
 /// start of a run whose manifest should describe that run alone.
 pub fn reset() {
     for c in counters::all() {
         c.reset();
-    }
-    for t in timers::all() {
-        t.reset();
     }
     EPOCH_SINK.lock().unwrap().clear();
     heatmap::reset();
@@ -465,7 +382,8 @@ pub struct CounterEntry {
 }
 fare_rt::json_struct!(CounterEntry { name, value });
 
-/// One span-timer total in a manifest.
+/// One span name's completed-span count and total duration in a
+/// manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimerEntry {
     pub name: String,
@@ -487,8 +405,8 @@ pub struct BenchEntry {
 fare_rt::json_struct!(BenchEntry { name, value });
 
 /// The primary correctness artifact of an instrumented run: seed,
-/// config (compact JSON string), every non-zero counter, every
-/// non-empty timer, the per-epoch metric curve, and optional bench
+/// config (compact JSON string), every non-zero counter, the totals of
+/// every span name that completed, the per-epoch metric curve, and optional bench
 /// numbers. Serialised losslessly via `fare-rt` JSON, so two manifests
 /// are bit-identical iff the runs behaved identically.
 ///
@@ -520,9 +438,10 @@ fare_rt::json_struct!(RunManifest {
 impl RunManifest {
     /// Snapshot the current telemetry state into a manifest.
     ///
-    /// Only non-zero counters and non-empty timers are included — the
-    /// rule that lets new counters be added without perturbing golden
-    /// traces of runs that never hit them.
+    /// Only non-zero counters and spans that completed are included —
+    /// the rule that lets new counters and spans be added without
+    /// perturbing golden traces of runs that never hit them. `timers`
+    /// lists the span totals in name order.
     pub fn capture(run: &str, seed: u64, config: &impl ToJson) -> RunManifest {
         let config = fare_rt::json::to_string(config).unwrap_or_else(|_| "null".into());
         RunManifest {
@@ -537,15 +456,7 @@ impl RunManifest {
                     value: c.get(),
                 })
                 .collect(),
-            timers: timers::all()
-                .iter()
-                .filter(|t| t.count() > 0)
-                .map(|t| TimerEntry {
-                    name: t.name().to_string(),
-                    count: t.count(),
-                    total_ns: t.total_ns(),
-                })
-                .collect(),
+            timers: trace::totals(),
             epochs: epochs_recorded(),
             heatmaps: heatmap::recorded(),
             bench: Vec::new(),
@@ -627,7 +538,7 @@ impl RunManifest {
 // Tests
 // ---------------------------------------------------------------------------
 
-/// Mode, clock, counters, timers, sinks and the trace ring are
+/// Mode, clock, counters, span totals, sinks and the trace ring are
 /// process-global; every unit test in this crate that touches them takes
 /// this one lock.
 #[cfg(test)]
@@ -656,16 +567,23 @@ mod tests {
     }
 
     #[test]
-    fn fixed_clock_makes_timers_deterministic() {
+    fn fixed_clock_makes_span_totals_deterministic() {
         let _g = lock();
         set_mode(Mode::Json);
         set_clock(ClockMode::Fixed(250));
         reset();
         for _ in 0..4 {
-            timers::CORE_TRAINER_RUN.time(|| std::hint::black_box(1 + 1));
+            let _s = trace::span("core.trainer.run");
         }
-        assert_eq!(timers::CORE_TRAINER_RUN.count(), 4);
-        assert_eq!(timers::CORE_TRAINER_RUN.total_ns(), 1000);
+        let timers = RunManifest::capture("unit", 0, &0u32).timers;
+        assert_eq!(
+            timers,
+            vec![TimerEntry {
+                name: "core.trainer.run".into(),
+                count: 4,
+                total_ns: 1000
+            }]
+        );
         set_clock(ClockMode::Wall);
         set_mode(Mode::Off);
         reset();
@@ -695,10 +613,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for c in counters::all() {
             assert!(seen.insert(c.name()), "duplicate counter {}", c.name());
-        }
-        let mut seen = std::collections::HashSet::new();
-        for t in timers::all() {
-            assert!(seen.insert(t.name()), "duplicate timer {}", t.name());
         }
     }
 }

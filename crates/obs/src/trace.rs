@@ -1,10 +1,18 @@
-//! Hierarchical span tracing behind `FARE_OBS=trace`.
+//! Span timing, and hierarchical span tracing behind `FARE_OBS=trace`.
 //!
-//! Instrumented code opens nested spans ([`span`]/[`span_arg`]); each
-//! span pushes a begin event when created and an end event when
-//! dropped, into a bounded global ring buffer (oldest events are
-//! dropped first, with a drop count kept, so tracing can never grow
-//! without bound). The recorded stream can be drained with [`take`]
+//! Spans are the workspace's one timing primitive. While telemetry
+//! records (`json` or `trace`), every completed span adds one count and
+//! its duration to a per-name total, which
+//! [`RunManifest::capture`](crate::RunManifest::capture) reports as the
+//! manifest's `timers`, in name order. The duration is `step_ns` under
+//! `ClockMode::Fixed` and elapsed wall time otherwise, so fixed-clock
+//! totals are `count × step_ns`.
+//!
+//! Instrumented code opens nested spans ([`span`]/[`span_arg`]); under
+//! `FARE_OBS=trace` each span also pushes a begin event when created
+//! and an end event when dropped, into a bounded global ring buffer
+//! (oldest events are dropped first, with a drop count kept, so tracing
+//! can never grow without bound). The recorded stream can be drained with [`take`]
 //! and exported two ways:
 //!
 //! - [`TraceLog::to_jsonl`] — one JSON object per line, preceded by a
@@ -26,16 +34,16 @@
 //!   identical at any `FARE_RT_THREADS`, which is what
 //!   `tests/golden_trace.rs` pins.
 //!
-//! The event sequence (and the wall epoch) rewind on
+//! The span totals, the event sequence and the wall epoch all rewind on
 //! [`reset`](crate::reset), so every instrumented run starts its
 //! timeline at t = 0.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::ClockMode;
+use crate::{ClockMode, TimerEntry};
 
 /// Begin/end phase of a [`TraceEvent`] (Chrome trace `ph` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +114,9 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Wall epoch: the `Instant` of the first wall-clocked event since the
 /// last reset (nanos offset stored lazily under the ring lock).
 static WALL_EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
+/// Completed-span `(count, total_ns)` per span name; the map's order is
+/// the manifest's `timers` order.
+static TOTALS: Mutex<BTreeMap<&'static str, (u64, u64)>> = Mutex::new(BTreeMap::new());
 
 /// Change the ring capacity (existing overflow is trimmed oldest-first).
 pub fn set_capacity(capacity: usize) {
@@ -117,14 +128,29 @@ pub fn set_capacity(capacity: usize) {
     }
 }
 
-/// Clear the buffer and rewind the timeline (called by
-/// [`crate::reset`]).
+/// Clear the span totals and the buffer, and rewind the timeline
+/// (called by [`crate::reset`]).
 pub(crate) fn reset() {
+    TOTALS.lock().unwrap().clear();
     let mut ring = RING.lock().unwrap();
     ring.events.clear();
     ring.dropped = 0;
     SEQ.store(0, Ordering::Relaxed);
     *WALL_EPOCH.lock().unwrap() = None;
+}
+
+/// Completed-span totals since the last reset, in name order.
+pub(crate) fn totals() -> Vec<TimerEntry> {
+    TOTALS
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(&name, &(count, total_ns))| TimerEntry {
+            name: name.to_string(),
+            count,
+            total_ns,
+        })
+        .collect()
 }
 
 fn next_ts() -> u64 {
@@ -149,43 +175,63 @@ fn emit(name: &str, ph: Phase, track: u64, arg: Option<u64>) {
     RING.lock().unwrap().push(ev);
 }
 
-/// RAII guard for one traced span: emits the begin event on creation
-/// and the matching end event on drop. Inert when `FARE_OBS != trace`.
+/// RAII guard for one span: on drop it adds its duration to the span
+/// name's total and, under `FARE_OBS=trace`, emits the end event
+/// matching the begin event emitted on creation. Inert when telemetry
+/// is off.
 #[must_use = "a span ends when dropped; binding to _ ends it immediately"]
 pub struct Span {
     name: &'static str,
-    armed: bool,
+    /// When the span opened; `None` when telemetry was off.
+    start: Option<Instant>,
+    traced: bool,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.armed {
+        let Some(start) = self.start else {
+            return;
+        };
+        let ns = match crate::clock() {
+            ClockMode::Fixed(step) => step,
+            ClockMode::Wall => start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        };
+        // Every update leaves the totals valid, so a poisoned lock is
+        // safe to reuse, and a drop must not panic.
+        let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
+        let (count, total_ns) = totals.entry(self.name).or_default();
+        *count += 1;
+        *total_ns = total_ns.saturating_add(ns);
+        drop(totals);
+        if self.traced {
             emit(self.name, Phase::E, 0, None);
         }
     }
 }
 
+#[inline]
+fn open(name: &'static str, arg: Option<u64>) -> Span {
+    let start = crate::enabled().then(Instant::now);
+    let traced = start.is_some() && crate::trace_enabled();
+    if traced {
+        emit(name, Phase::B, 0, arg);
+    }
+    Span { name, start, traced }
+}
+
 /// Open a span. Call only on logical event paths (main thread /
 /// once-per-event), never inside worker closures — the same placement
-/// rule as counters, and what keeps traces thread-invariant.
+/// rule as counters, and what keeps totals and traces thread-invariant.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !crate::trace_enabled() {
-        return Span { name, armed: false };
-    }
-    emit(name, Phase::B, 0, None);
-    Span { name, armed: true }
+    open(name, None)
 }
 
 /// [`span`] with an argument on the begin event (epoch index, batch
 /// index, …), surfaced under `args` in the Chrome export.
 #[inline]
 pub fn span_arg(name: &'static str, arg: u64) -> Span {
-    if !crate::trace_enabled() {
-        return Span { name, armed: false };
-    }
-    emit(name, Phase::B, 0, Some(arg));
-    Span { name, armed: true }
+    open(name, Some(arg))
 }
 
 /// A drained trace: the event stream plus the clock step it was
@@ -231,11 +277,6 @@ pub fn take() -> TraceLog {
         dropped,
         events,
     }
-}
-
-/// Events currently buffered (for tests; does not drain).
-pub fn buffered() -> usize {
-    RING.lock().unwrap().events.len()
 }
 
 impl TraceLog {
@@ -433,16 +474,24 @@ mod tests {
     }
 
     #[test]
-    fn spans_are_inert_when_not_tracing() {
+    fn json_mode_totals_spans_without_events() {
         let _g = lock();
         set_mode(Mode::Json);
         crate::reset();
         {
             let _s = span("core.trainer.run");
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(buffered(), 0, "json mode must not record spans");
+        let json = (take().events.len(), totals());
         set_mode(Mode::Off);
         crate::reset();
+        drop(span("core.trainer.run"));
+        assert!(totals().is_empty(), "off mode must not time spans");
+
+        assert_eq!(json.0, 0, "json mode must not record events");
+        assert_eq!(json.1.len(), 1);
+        assert_eq!((json.1[0].name.as_str(), json.1[0].count), ("core.trainer.run", 1));
+        assert!(json.1[0].total_ns >= 1_000_000, "wall clock: {} ns", json.1[0].total_ns);
     }
 
     #[test]
@@ -458,10 +507,17 @@ mod tests {
             }
         }
         let log = take();
+        let t = totals();
         set_clock(ClockMode::Wall);
         set_mode(Mode::Off);
         crate::reset();
 
+        // Every span lasts one step, nested or not; totals in name order.
+        let t: Vec<(&str, u64, u64)> = t
+            .iter()
+            .map(|e| (e.name.as_str(), e.count, e.total_ns))
+            .collect();
+        assert_eq!(t, vec![("core.trainer.epoch", 2, 20), ("core.trainer.run", 1, 10)]);
         assert_eq!(log.events.len(), 6);
         assert_eq!(log.step_ns, 10);
         let ts: Vec<u64> = log.events.iter().map(|e| e.ts_ns).collect();

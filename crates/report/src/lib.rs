@@ -4,12 +4,11 @@
 //! [`RunManifest`](fare_obs::RunManifest)s, this crate turns them back
 //! into something an operator can act on:
 //!
-//! - [`summarize`] — one manifest → markdown tables (counters, timers,
-//!   epoch curve, heatmap totals, bench numbers),
-//! - [`diff`] — two manifests → per-counter/per-timer/per-epoch delta
+//! - [`summarize`] — one manifest → markdown tables (counters, span
+//!   totals, epoch curve, heatmap totals, bench numbers),
+//! - [`diff`] — two manifests → per-counter/per-span/per-epoch delta
 //!   report with a configurable relative tolerance; drives the
-//!   `fare-report diff` CI gate against `tests/golden/golden_trace.json`
-//!   and the committed `BENCH_*.json` files,
+//!   `fare-report diff` CI gate against `tests/golden/golden_trace.json`,
 //! - [`heatmap`] — [`HeatmapGrid`](fare_obs::HeatmapGrid) → ASCII or
 //!   SVG crossbar grids,
 //! - [`figures`] — epoch curves from one or more manifests → fig5-style
@@ -26,12 +25,33 @@ pub mod heatmap;
 pub mod summarize;
 pub mod svg;
 
-use fare_obs::RunManifest;
+use fare_obs::{HeatmapGrid, RunManifest};
 
 /// Parse a manifest from its pretty-JSON text (the format written by
 /// [`RunManifest::to_json_pretty`](fare_obs::RunManifest::to_json_pretty)).
+///
+/// Also rejects heatmap grids the renderers cannot lay out: per-cell
+/// arrays of different lengths, or cells with `cols == 0` or
+/// `rows × cols < cells`.
 pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
-    fare_rt::json::from_str(text).map_err(|e| format!("not a RunManifest: {e:?}"))
+    let manifest: RunManifest =
+        fare_rt::json::from_str(text).map_err(|e| format!("not a RunManifest: {e:?}"))?;
+    for g in &manifest.heatmaps {
+        check_grid(g).map_err(|e| format!("heatmap {:?}: {e}", g.name))?;
+    }
+    Ok(manifest)
+}
+
+fn check_grid(g: &HeatmapGrid) -> Result<(), String> {
+    let cells = g.cells();
+    let lengths = [g.sa1.len(), g.mismatch.len(), g.mvms.len(), g.energy_nj.len()];
+    if lengths.iter().any(|&len| len != cells) {
+        return Err("per-cell arrays differ in length".to_string());
+    }
+    if cells > 0 && u128::from(g.rows) * u128::from(g.cols) < cells as u128 {
+        return Err(format!("{}x{} display shape cannot hold {cells} cells", g.rows, g.cols));
+    }
+    Ok(())
 }
 
 /// FNV-1a 64-bit digest of a byte stream — stable fingerprint used by

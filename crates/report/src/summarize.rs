@@ -29,10 +29,10 @@ pub fn to_markdown(m: &RunManifest) -> String {
         };
         let hits = get("core.remap_cache.hits");
         let misses = get("core.remap_cache.misses");
-        if hits + misses > 0 {
+        if hits > 0 || misses > 0 {
             out.push_str(&format!(
                 "Derived: remap-cache hit rate {:.1}% ({hits} hits / {misses} misses)\n\n",
-                100.0 * hits as f64 / (hits + misses) as f64
+                100.0 * hits as f64 / (hits as f64 + misses as f64)
             ));
         }
     }
@@ -81,10 +81,10 @@ pub fn to_markdown(m: &RunManifest) -> String {
                 "| `{}` | {} | {} | {} | {} | {} | {:.3} | {} |\n",
                 g.name,
                 g.cells(),
-                g.sa0.iter().sum::<u64>(),
-                g.sa1.iter().sum::<u64>(),
-                g.mismatch.iter().sum::<u64>(),
-                g.mvms.iter().sum::<u64>(),
+                total(&g.sa0),
+                total(&g.sa1),
+                total(&g.mismatch),
+                total(&g.mvms),
                 g.energy_nj.iter().sum::<f64>() / 1e3,
                 hottest
             ));
@@ -103,6 +103,11 @@ pub fn to_markdown(m: &RunManifest) -> String {
     out
 }
 
+/// Exact sum of per-cell counts; `u128` cannot overflow on any grid.
+fn total(cells: &[u64]) -> u128 {
+    cells.iter().map(|&v| u128::from(v)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +118,7 @@ mod tests {
         let mut g = HeatmapGrid::zeros("adjacency_crossbars", 2);
         g.sa0 = vec![1, 0];
         g.sa1 = vec![0, 3];
-        let m = RunManifest {
+        let mut m = RunManifest {
             run: "demo".into(),
             seed: 7,
             config: "{\"epochs\":5}".into(),
@@ -150,5 +155,13 @@ mod tests {
         assert!(text.contains("## Heatmaps"));
         assert!(text.contains("#1 (3)"), "hottest cell is index 1: {text}");
         assert_eq!(text, to_markdown(&m), "deterministic rendering");
+
+        // Counts at the top of the u64 range do not overflow the
+        // derived hit rate or the grid totals.
+        m.counters[0].value = u64::MAX;
+        m.heatmaps[0].sa0 = vec![u64::MAX, 1];
+        let text = to_markdown(&m);
+        assert!(text.contains("hit rate 100.0%"), "{text}");
+        assert!(text.contains("| 18446744073709551616 |"), "{text}");
     }
 }

@@ -6,8 +6,7 @@
 //! - `diff <baseline.json> <candidate.json>` — per-counter/timer/epoch
 //!   delta report; exits non-zero when any quantity moves beyond
 //!   `--tolerance`. verify.sh runs this as the regression gate against
-//!   `tests/golden/golden_trace.json`, and it diffs `BENCH_*.json`
-//!   files across PRs the same way.
+//!   `tests/golden/golden_trace.json`.
 //! - `heatmap <manifest.json>` — per-crossbar grids as ASCII (default)
 //!   or SVG (`--svg <path>`).
 //! - `figures <manifest.json>... --out <dir>` — fig5-style SVG epoch

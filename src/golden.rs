@@ -50,7 +50,7 @@ pub fn dataset() -> Dataset {
 pub struct Capture {
     /// The training result; telemetry never feeds back into it.
     pub outcome: TrainOutcome,
-    /// Counters, timers, epoch curve and heatmaps, plus the outcome's
+    /// Counters, span totals, epoch curve and heatmaps, plus the outcome's
     /// headline numbers as `bench` entries.
     pub manifest: obs::RunManifest,
     /// The drained span trace; empty unless `mode` was [`Mode::Trace`].

@@ -12,40 +12,12 @@ use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
 
 #[test]
-fn auction_solver_drives_the_full_mapping() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let (g, _) = generate::sbm(48, 3, 0.2, 0.02, &mut rng);
-    let adj = g.to_dense();
-    let mut array = CrossbarArray::new(18, 16);
-    array.inject(&FaultSpec::with_ratio(0.05, 1.0, 1.0), &mut rng);
-
-    let auction = map_adjacency(
-        &adj,
-        &array,
-        &MappingConfig {
-            matcher: Matcher::Auction,
-            ..MappingConfig::default()
-        },
-    );
-    let hungarian = map_adjacency(
-        &adj,
-        &array,
-        &MappingConfig {
-            matcher: Matcher::Hungarian,
-            ..MappingConfig::default()
-        },
-    );
-    // Both exact solvers: identical total mismatch cost.
-    assert_eq!(auction.total_cost(), hungarian.total_cost());
-}
-
-#[test]
-fn trainer_accepts_auction_matcher() {
+fn trainer_accepts_hungarian_matcher() {
     let ds = fare::graph::datasets::Dataset::generate(fare::graph::datasets::DatasetKind::Ppi, 2);
     let out = Trainer::new(
         TrainConfig {
             epochs: 3,
-            matcher: Matcher::Auction,
+            matcher: Matcher::Hungarian,
             fault_spec: FaultSpec::density(0.03),
             strategy: FaultStrategy::FaRe,
             ..TrainConfig::default()

@@ -7,7 +7,7 @@
 //! telemetry off once — and pinned from every side:
 //!
 //! - the json-mode [`fare::obs::RunManifest`] (per-epoch curve, every
-//!   non-zero counter, timers under the fixed clock, per-crossbar
+//!   non-zero counter, span totals under the fixed clock, per-crossbar
 //!   heatmaps) matches `tests/golden/golden_trace.json` byte for byte;
 //! - the span trace's FNV-1a digest, event count and per-span begin
 //!   counts match `tests/golden/golden_trace_digest.json` (the stream is

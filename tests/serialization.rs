@@ -41,6 +41,12 @@ fn fault_spec_and_config_round_trip() {
         fault_spec: FaultSpec::density(0.05),
         ..TrainConfig::default()
     });
+    // A config naming a matcher the workspace no longer has is a parse
+    // error, not a silent fallback.
+    let json = fare_rt::json::to_string(&TrainConfig::default()).expect("serialises");
+    assert!(json.contains("\"matcher\":\"BSuitor\""), "{json}");
+    let stale = json.replace("\"BSuitor\"", "\"Auction\"");
+    assert!(fare_rt::json::from_str::<TrainConfig>(&stale).is_err());
 }
 
 #[test]
@@ -141,4 +147,42 @@ fn report_diff_rejects_deeply_nested_manifest() {
         .output()
         .expect("runs fare-report");
     assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// An in-place edit of a heatmap grid.
+type GridEdit = fn(&mut fare::obs::HeatmapGrid);
+
+/// Runs `fare-report <cmd>` on the golden manifest with its first
+/// heatmap grid edited; returns the exit code and stderr.
+fn report_on_edited_grid(name: &str, cmd: &str, edit: GridEdit) -> (Option<i32>, String) {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/golden_trace.json");
+    let text = std::fs::read_to_string(golden).expect("reads the golden manifest");
+    let mut manifest = fare::report::parse_manifest(&text).expect("the golden manifest parses");
+    edit(&mut manifest.heatmaps[0]);
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.json"));
+    std::fs::write(&path, manifest.to_json_pretty()).expect("writes the edited manifest");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fare-report"))
+        .args([cmd.as_ref(), path.as_os_str()])
+        .output()
+        .expect("runs fare-report");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Malformed heatmap grids are usage errors (exit 2) at load instead of
+/// panics in the renderers; `u64::MAX` fault counts are well formed and
+/// must not overflow.
+#[test]
+fn report_rejects_malformed_heatmap_grids() {
+    let cases: [(&str, GridEdit, i32); 4] = [
+        ("grid_zero_cols", |g| g.cols = 0, 2),
+        ("grid_too_small", |g| g.rows = 1, 2),
+        ("grid_ragged", |g| g.mvms.truncate(1), 2),
+        ("grid_saturated", |g| (g.sa0[0], g.sa1[0]) = (u64::MAX, 1), 0),
+    ];
+    for (name, edit, expected) in cases {
+        for cmd in ["heatmap", "summarize"] {
+            let (code, stderr) = report_on_edited_grid(name, cmd, edit);
+            assert_eq!(code, Some(expected), "{name} {cmd}: {stderr}");
+        }
+    }
 }
