@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use fare_gnn::{Gnn, WeightReader};
 use fare_reram::variation::{VariationField, VariationSpec};
 use fare_reram::weights::WeightFabric;
-use fare_reram::{CrossbarArray, FaultSpec};
+use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
 use fare_tensor::{FixedFormat, Matrix};
 use fare_rt::rand::Rng;
 
@@ -213,18 +213,25 @@ pub fn corrupt_adjacency_mapped(
         adj.rows().div_ceil(n),
         "mapping grid does not match adjacency"
     );
+    // Reading a block back changes only its stuck cells, so they are
+    // written straight into the copy; cells past the matrix edge (the
+    // zero padding of edge blocks) are skipped.
     let mut out = adj.clone();
     for p in mapping.placements() {
-        let r0 = p.block_row * n;
-        let c0 = p.block_col * n;
-        let block = adj.block(r0, c0, n, n);
-        let read = array
-            .crossbar(p.crossbar)
-            .read_binary(&block, Some(&p.row_perm));
-        for r in 0..n {
-            for c in 0..n {
-                if r0 + r < adj.rows() && c0 + c < adj.cols() {
-                    out[(r0 + r, c0 + c)] = read[(r, c)];
+        assert_eq!(p.row_perm.len(), n, "row permutation length mismatch");
+        let crossbar = array.crossbar(p.crossbar);
+        fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.incr();
+        let (r0, c0) = (p.block_row * n, p.block_col * n);
+        for (r, &physical) in p.row_perm.iter().enumerate() {
+            if r0 + r >= adj.rows() {
+                break;
+            }
+            for &(c, pol) in crossbar.row_faults(physical) {
+                if c0 + c < adj.cols() {
+                    out[(r0 + r, c0 + c)] = match pol {
+                        StuckPolarity::StuckAtZero => 0.0,
+                        StuckPolarity::StuckAtOne => 1.0,
+                    };
                 }
             }
         }
@@ -367,6 +374,44 @@ mod tests {
         };
         assert!(err(&mapped) <= err(&unaware));
         assert_eq!(err(&mapped), mapping.total_cost());
+    }
+
+    #[test]
+    fn mapped_corruption_equals_per_block_read_back() {
+        // 20 nodes on 8×8 crossbars: the edge blocks are zero-padded.
+        let mut rng = StdRng::seed_from_u64(6);
+        let adj = Matrix::from_fn(20, 20, |i, j| {
+            if (i * 7 + j * 3) % 5 == 0 && i != j {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let mut array = CrossbarArray::new(14, 8);
+        array.inject(&FaultSpec::density(0.15), &mut rng);
+        let fare = map_adjacency(&adj, &array, &MappingConfig::default());
+        let sequential = crate::mapping::sequential_mapping(&adj, &array);
+        for mapping in [fare, sequential] {
+            let mut expected = adj.clone();
+            for p in mapping.placements() {
+                let (r0, c0) = (p.block_row * 8, p.block_col * 8);
+                let block = adj.block(r0, c0, 8, 8);
+                let read = array
+                    .crossbar(p.crossbar)
+                    .read_binary(&block, Some(&p.row_perm));
+                for r in 0..8 {
+                    for c in 0..8 {
+                        if r0 + r < 20 && c0 + c < 20 {
+                            expected[(r0 + r, c0 + c)] = read[(r, c)];
+                        }
+                    }
+                }
+            }
+            let out = corrupt_adjacency_mapped(&adj, &array, &mapping);
+            assert_eq!(out, expected);
+        }
+        // The fault-unaware layout leaves faults under the matrix.
+        assert_ne!(corrupt_adjacency_unaware(&adj, &array), adj);
     }
 
     #[test]

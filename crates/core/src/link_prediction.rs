@@ -25,9 +25,7 @@
 
 use fare_gnn::link::{auc, bce_loss_and_grad, pair_scores};
 use fare_gnn::{Adam, Gnn, GnnDims};
-use fare_graph::batch::make_batches;
 use fare_graph::datasets::Dataset;
-use fare_graph::partition::partition;
 use fare_graph::CsrGraph;
 use fare_reram::CrossbarArray;
 use fare_tensor::Matrix;
@@ -37,7 +35,7 @@ use crate::faulty::FaultyWeightReader;
 use crate::mapping::{
     map_adjacency, reordered_sequential_mapping, sequential_mapping, MappingConfig,
 };
-use crate::trainer::hardware_view;
+use crate::trainer::{cluster_batches, hardware_view};
 use crate::{FaultStrategy, TrainConfig};
 
 /// Per-epoch link-prediction statistics.
@@ -122,13 +120,7 @@ pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -
         ..MappingConfig::default()
     };
 
-    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-    let batches = make_batches(
-        &dataset.graph,
-        &parts,
-        dataset.spec.clusters_per_batch,
-        &mut rng,
-    );
+    let batches = cluster_batches(dataset, &mut rng);
 
     // Embedding model: output layer emits `hidden_dim`-dimensional node
     // embeddings.

@@ -2,13 +2,14 @@
 //! train on faulty crossbars → clip → (per-epoch BIST + refresh).
 
 use fare_gnn::{Adam, Gnn, GnnDims, IdealReader};
-use fare_graph::batch::make_batches;
+use fare_graph::batch::{make_batches, MiniBatch};
 use fare_graph::datasets::{Dataset, ModelKind};
 use fare_graph::partition::partition;
 use fare_graph::GraphView;
 use fare_matching::Matcher;
 use fare_reram::timing::{PipelineSpec, TimingModel};
 use fare_reram::{CrossbarArray, FaultSpec};
+use fare_rt::rand::Rng;
 use fare_tensor::{ops, Matrix};
 
 use crate::faulty::{corrupt_adjacency_mapped, FaultyWeightReader};
@@ -74,7 +75,9 @@ fare_rt::json_struct!(TrainConfig { model, hidden_dim, depth, epochs, learning_r
 impl TrainConfig {
     /// Checks what every training entry point relies on: epochs > 0,
     /// depth ≥ 2, crossbar size a positive multiple of 8, finite
-    /// crossbar slack ≥ 1 and post-deployment density in [0, 1].
+    /// crossbar slack ≥ 1, and the post-deployment density and both
+    /// `fault_spec` fractions in [0, 1] (which also rules out NaN and
+    /// infinities).
     ///
     /// # Errors
     ///
@@ -94,6 +97,14 @@ impl TrainConfig {
             (
                 (0.0..=1.0).contains(&self.post_deployment_density),
                 "post-deployment density must be in [0, 1]",
+            ),
+            (
+                (0.0..=1.0).contains(&self.fault_spec.density),
+                "fault_spec.density must be in [0, 1]",
+            ),
+            (
+                (0.0..=1.0).contains(&self.fault_spec.sa1_fraction),
+                "fault_spec.sa1_fraction must be in [0, 1]",
             ),
         ];
         match rules.into_iter().find(|&(ok, _)| !ok) {
@@ -210,6 +221,18 @@ struct BatchState {
     remap: RemapCache,
 }
 
+/// Host-side preprocessing shared by every training entry point: the
+/// multilevel partition, then the Cluster-GCN mini-batches, each under
+/// its own span.
+pub(crate) fn cluster_batches(dataset: &Dataset, rng: &mut impl Rng) -> Vec<MiniBatch> {
+    let parts = {
+        let _span = fare_obs::trace::span("core.trainer.partition");
+        partition(&dataset.graph, dataset.spec.partitions, rng)
+    };
+    let _span = fare_obs::trace::span("core.trainer.batches");
+    make_batches(&dataset.graph, &parts, dataset.spec.clusters_per_batch, rng)
+}
+
 /// The adjacency the model actually sees, wrapped in a [`GraphView`] so
 /// each normalisation is computed once per corruption event instead of
 /// once per forward pass.
@@ -268,13 +291,7 @@ impl Trainer {
         };
 
         // 1. Partition + mini-batches (host-side preprocessing).
-        let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-        let batches = make_batches(
-            &dataset.graph,
-            &parts,
-            dataset.spec.clusters_per_batch,
-            &mut rng,
-        );
+        let batches = cluster_batches(dataset, &mut rng);
         let num_batches = batches.len();
 
         // 2. Model + weight fabrics.
@@ -578,13 +595,7 @@ fn crossbar_heatmap(
 pub fn run_fault_free(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
     config.validate().unwrap_or_else(|e| panic!("invalid TrainConfig: {e}"));
     let mut rng = fare_rt::domain_rng(seed, "trainer");
-    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-    let batches = make_batches(
-        &dataset.graph,
-        &parts,
-        dataset.spec.clusters_per_batch,
-        &mut rng,
-    );
+    let batches = cluster_batches(dataset, &mut rng);
     let num_batches = batches.len();
     let dims = GnnDims {
         input: dataset.spec.feature_dim,
@@ -902,6 +913,15 @@ mod tests {
     fn validate_accepts_default_and_names_each_bad_field() {
         assert_eq!(TrainConfig::default().validate(), Ok(()));
         let base = TrainConfig::default();
+        // Struct literals: the spec's constructors assert these ranges,
+        // JSON decoding does not.
+        let with_spec = |density, sa1_fraction| TrainConfig {
+            fault_spec: FaultSpec {
+                density,
+                sa1_fraction,
+            },
+            ..base
+        };
         let bad = [
             (TrainConfig { epochs: 0, ..base }, "epochs"),
             (TrainConfig { depth: 1, ..base }, "depth"),
@@ -910,6 +930,11 @@ mod tests {
             (TrainConfig { crossbar_slack: f64::NAN, ..base }, "slack"),
             (TrainConfig { post_deployment_density: 1.5, ..base }, "post-deployment"),
             (TrainConfig { post_deployment_density: -0.1, ..base }, "post-deployment"),
+            (with_spec(3.5, 0.5), "fault_spec.density"),
+            (with_spec(f64::NAN, 0.5), "fault_spec.density"),
+            (with_spec(f64::INFINITY, 0.5), "fault_spec.density"),
+            (with_spec(0.05, -1.0), "fault_spec.sa1_fraction"),
+            (with_spec(0.05, f64::NAN), "fault_spec.sa1_fraction"),
         ];
         for (config, field) in bad {
             let err = config.validate().unwrap_err();

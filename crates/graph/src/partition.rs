@@ -16,8 +16,7 @@
 //! adjacency matrices), and that is exactly what edge-cut minimisation
 //! produces.
 
-use std::collections::BTreeMap;
-
+use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
 use fare_rt::rand::Rng;
 
@@ -30,7 +29,25 @@ pub struct Partitioning {
     num_parts: usize,
 }
 
-fare_rt::json_struct!(Partitioning { assignment, num_parts });
+fare_rt::json_struct_to!(Partitioning { assignment, num_parts });
+
+impl FromJson for Partitioning {
+    /// Rejects part ids `>= num_parts`, the check [`Partitioning::new`]
+    /// asserts.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let assignment: Vec<usize> = field(v, "assignment")?;
+        let num_parts: usize = field(v, "num_parts")?;
+        if let Some(&p) = assignment.iter().find(|&&p| p >= num_parts) {
+            return Err(JsonError::new(format!(
+                "part id {p} out of range for {num_parts} parts"
+            )));
+        }
+        Ok(Self {
+            assignment,
+            num_parts,
+        })
+    }
+}
 
 impl Partitioning {
     /// Creates a partitioning from a raw assignment vector.
@@ -114,30 +131,58 @@ impl Partitioning {
     }
 }
 
-/// Weighted graph used internally during coarsening.
-#[derive(Debug, Clone)]
+/// Weighted graph used internally during coarsening, in flat CSR form.
+///
+/// Row `u` is `adj[offsets[u]..offsets[u + 1]]`: `(neighbour, edge
+/// weight)` pairs sorted by neighbour id, so every walk over a row visits
+/// neighbours in ascending order and tie-breaks are first-in-id-order.
+/// Node and edge weights are sums of `1.0`s (counts of contracted nodes
+/// and edges), so every f64 sum here is exact in any order.
+#[derive(Debug)]
 struct WeightedGraph {
-    /// adjacency[u] -> (v, edge_weight)
-    adj: Vec<BTreeMap<usize, f64>>,
+    offsets: Vec<usize>,
+    adj: Vec<(usize, f64)>,
     node_weight: Vec<f64>,
 }
 
 impl WeightedGraph {
     fn from_csr(g: &CsrGraph) -> Self {
         let n = g.num_nodes();
-        let mut adj = vec![BTreeMap::new(); n];
+        let mut offsets = vec![0usize; n + 1];
         for (u, v) in g.edges() {
-            adj[u].insert(v, 1.0);
-            adj[v].insert(u, 1.0);
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        // Filling both directions from `edges()` makes the rows
+        // symmetric, which `coarsen` relies on. `edges()` yields `u`
+        // ascending and then `v > u` ascending, so row `x` receives its
+        // `u < x` entries (in order) before its own `v > x` ones: the
+        // rows come out sorted.
+        let mut fill = offsets[..n].to_vec();
+        let mut adj = vec![(0usize, 0.0f64); offsets[n]];
+        for (u, v) in g.edges() {
+            adj[fill[u]] = (v, 1.0);
+            fill[u] += 1;
+            adj[fill[v]] = (u, 1.0);
+            fill[v] += 1;
         }
         Self {
+            offsets,
             adj,
             node_weight: vec![1.0; n],
         }
     }
 
     fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.node_weight.len()
+    }
+
+    /// Row `u`: its neighbours and edge weights, ascending by neighbour.
+    fn row(&self, u: usize) -> &[(usize, f64)] {
+        &self.adj[self.offsets[u]..self.offsets[u + 1]]
     }
 
     /// Heavy-edge matching coarsening. Returns the coarse graph and the
@@ -147,45 +192,75 @@ impl WeightedGraph {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(rng);
         let mut matched = vec![usize::MAX; n];
-        let mut coarse_count = 0usize;
+        // Members of coarse node `c`: `members[starts[c]..starts[c + 1]]`.
+        let mut members = Vec::with_capacity(n);
+        let mut starts = vec![0usize];
         for &u in &order {
             if matched[u] != usize::MAX {
                 continue;
             }
             // Match u with its heaviest unmatched neighbour.
             let mut best: Option<(usize, f64)> = None;
-            for (&v, &w) in &self.adj[u] {
-                if matched[v] == usize::MAX
-                    && best.is_none_or(|(_, bw)| w > bw)
-                {
+            for &(v, w) in self.row(u) {
+                if matched[v] == usize::MAX && best.is_none_or(|(_, bw)| w > bw) {
                     best = Some((v, w));
                 }
             }
-            match best {
-                Some((v, _)) => {
-                    matched[u] = coarse_count;
-                    matched[v] = coarse_count;
-                }
-                None => {
-                    matched[u] = coarse_count;
+            let c = starts.len() - 1;
+            matched[u] = c;
+            members.push(u);
+            if let Some((v, _)) = best {
+                matched[v] = c;
+                members.push(v);
+            }
+            starts.push(members.len());
+        }
+        let coarse_count = starts.len() - 1;
+        let mut offsets = Vec::with_capacity(coarse_count + 1);
+        offsets.push(0);
+        let mut adj: Vec<(usize, f64)> = Vec::new();
+        let mut node_weight = vec![0.0; coarse_count];
+        // `pos[cv]`: index of coarse neighbour `cv` in the row being built.
+        let mut pos = vec![usize::MAX; coarse_count];
+        for c in 0..coarse_count {
+            let row_start = adj.len();
+            for &u in &members[starts[c]..starts[c + 1]] {
+                node_weight[c] += self.node_weight[u];
+                for &(v, w) in self.row(u) {
+                    let cv = matched[v];
+                    if cv == c {
+                        continue;
+                    }
+                    match pos[cv] {
+                        usize::MAX => {
+                            pos[cv] = adj.len();
+                            adj.push((cv, w));
+                        }
+                        i => adj[i].1 += w,
+                    }
                 }
             }
-            coarse_count += 1;
+            for &(cv, _) in &adj[row_start..] {
+                pos[cv] = usize::MAX;
+            }
+            offsets.push(adj.len());
         }
-        let mut coarse = WeightedGraph {
-            adj: vec![BTreeMap::new(); coarse_count],
-            node_weight: vec![0.0; coarse_count],
+        // The rows are in first-seen order. The coarse graph is
+        // symmetric, so it equals its transpose, and transposing with a
+        // counting pass (rows visited in ascending order) sorts every row.
+        let mut fill = offsets[..coarse_count].to_vec();
+        let mut sorted = vec![(0usize, 0.0f64); adj.len()];
+        for c in 0..coarse_count {
+            for &(d, w) in &adj[offsets[c]..offsets[c + 1]] {
+                sorted[fill[d]] = (c, w);
+                fill[d] += 1;
+            }
+        }
+        let coarse = WeightedGraph {
+            offsets,
+            adj: sorted,
+            node_weight,
         };
-        for u in 0..n {
-            coarse.node_weight[matched[u]] += self.node_weight[u];
-            for (&v, &w) in &self.adj[u] {
-                let (cu, cv) = (matched[u], matched[v]);
-                if cu != cv && u < v {
-                    *coarse.adj[cu].entry(cv).or_insert(0.0) += w;
-                    *coarse.adj[cv].entry(cu).or_insert(0.0) += w;
-                }
-            }
-        }
         (coarse, matched)
     }
 
@@ -222,7 +297,7 @@ impl WeightedGraph {
                 }
                 part[u] = p;
                 part_weight[p] += self.node_weight[u];
-                for &v in self.adj[u].keys() {
+                for &(v, _) in self.row(u) {
                     if part[v] == usize::MAX {
                         queue.push_back(v);
                     }
@@ -296,7 +371,7 @@ impl WeightedGraph {
                     continue;
                 }
                 let mut cost = 0.0;
-                for (&v, &w) in &self.adj[u] {
+                for &(v, w) in self.row(u) {
                     if part[v] == donor {
                         cost += w;
                     } else if part[v] == dest {
@@ -324,26 +399,37 @@ impl WeightedGraph {
         for u in 0..n {
             part_weight[part[u]] += self.node_weight[u];
         }
+        // Connectivity of the current node to each part; `touched` lists
+        // the parts with `conn > 0` (edge weights are positive).
+        let mut conn = vec![0.0f64; k];
+        let mut touched: Vec<usize> = Vec::new();
         let mut moves = 0;
         for u in 0..n {
-            // Connectivity of u to each part.
-            let mut conn: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&v, &w) in &self.adj[u] {
-                *conn.entry(part[v]).or_insert(0.0) += w;
+            for &(v, w) in self.row(u) {
+                let p = part[v];
+                if conn[p] == 0.0 {
+                    touched.push(p);
+                }
+                conn[p] += w;
             }
-            let here = *conn.get(&part[u]).unwrap_or(&0.0);
+            // Ascending part order keeps the first-max tie-break.
+            touched.sort_unstable();
+            let here = conn[part[u]];
             let mut best: Option<(usize, f64)> = None;
-            for (&p, &w) in &conn {
+            for &p in &touched {
                 if p == part[u] {
                     continue;
                 }
-                let gain = w - here;
+                let gain = conn[p] - here;
                 if gain > 1e-12
                     && part_weight[p] + self.node_weight[u] <= max_weight
                     && best.is_none_or(|(_, bg)| gain > bg)
                 {
                     best = Some((p, gain));
                 }
+            }
+            for p in touched.drain(..) {
+                conn[p] = 0.0;
             }
             if let Some((p, _)) = best {
                 part_weight[part[u]] -= self.node_weight[u];
@@ -389,8 +475,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     // Draw a plain region-growing candidate first (same rng state
     // `bfs_partition` would see): the multilevel result is only kept if
     // it cuts no more edges, so the fallback is a quality floor.
-    let finest = current.clone();
-    let mut bfs_part = finest.initial_partition(k, rng);
+    let mut bfs_part = current.initial_partition(k, rng);
 
     // Coarsen until small or progress stalls.
     while current.num_nodes() > (8 * k).max(64) {
@@ -431,7 +516,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
         }
         current = fine;
     }
-    let _ = current;
+    // `current` is the finest level again.
 
     let cut = |assignment: &[usize]| {
         graph
@@ -442,7 +527,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     if cut(&bfs_part) < cut(&part) {
         // Keep the floor candidate, restoring its guarantees (non-empty
         // parts, weight ceiling) first.
-        finest.balance(&mut bfs_part, k, finest.level_max_weight(k));
+        current.balance(&mut bfs_part, k, current.level_max_weight(k));
         if cut(&bfs_part) < cut(&part) {
             return Partitioning::new(bfs_part, k);
         }
@@ -489,6 +574,87 @@ mod tests {
     #[should_panic(expected = "part id out of range")]
     fn partitioning_rejects_bad_ids() {
         Partitioning::new(vec![0, 2], 2);
+    }
+
+    #[test]
+    fn partitioning_json_round_trips_and_rejects_bad_ids() {
+        let p = Partitioning::new(vec![0, 1, 1], 2);
+        let text = fare_rt::json::to_string(&p).unwrap();
+        assert_eq!(fare_rt::json::from_str::<Partitioning>(&text).unwrap(), p);
+        for (bad, id) in [("[0,5,1]", 5), ("[0,2]", 2)] {
+            let text = format!(r#"{{"assignment":{bad},"num_parts":2}}"#);
+            let err = fare_rt::json::from_str::<Partitioning>(&text).unwrap_err();
+            let expected = format!("part id {id} out of range");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+    }
+
+    /// Checks one coarsening step: coarse rows strictly ascending, no
+    /// self loops, symmetric; node weight kept; and each coarse edge
+    /// weight equal to the summed fine weights between the two groups.
+    fn check_coarsen(fine: &WeightedGraph, coarse: &WeightedGraph, map: &[usize]) {
+        let m = coarse.num_nodes();
+        assert_eq!(map.len(), fine.num_nodes());
+        assert!(map.iter().all(|&c| c < m));
+        let total = |g: &WeightedGraph| g.node_weight.iter().sum::<f64>();
+        assert_eq!(total(coarse), total(fine));
+        let mut expected = vec![0.0f64; m * m];
+        for u in 0..fine.num_nodes() {
+            for &(v, w) in fine.row(u) {
+                if map[u] != map[v] {
+                    expected[map[u] * m + map[v]] += w;
+                }
+            }
+        }
+        let mut actual = vec![0.0f64; m * m];
+        for c in 0..m {
+            let row = coarse.row(c);
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row {c} not sorted"
+            );
+            for &(d, w) in row {
+                assert_ne!(c, d, "self loop at {c}");
+                assert!(w > 0.0);
+                actual[c * m + d] = w;
+            }
+        }
+        assert_eq!(actual, expected);
+        for c in 0..m {
+            for d in 0..m {
+                assert_eq!(actual[c * m + d], actual[d * m + c], "asymmetric ({c},{d})");
+            }
+        }
+    }
+
+    #[test]
+    fn coarsen_keeps_weights_and_sorted_symmetric_rows() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let graphs = [
+            generate::erdos_renyi(150, 0.05, &mut rng),
+            generate::sbm_power_law(240, 4, 0.2, 0.01, 0.5, &mut rng).0,
+            generate::power_law(200, 3, &mut rng),
+        ];
+        for g in &graphs {
+            let fine = WeightedGraph::from_csr(g);
+            for u in 0..g.num_nodes() {
+                let row: Vec<usize> = fine.row(u).iter().map(|&(v, _)| v).collect();
+                assert_eq!(row, g.neighbors(u));
+            }
+            // Three levels: from the second on, weights exceed 1.
+            let mut level = fine;
+            for _ in 0..3 {
+                let (coarse, map) = level.coarsen(&mut rng);
+                check_coarsen(&level, &coarse, &map);
+                // Every coarse node holds one or two fine nodes.
+                let mut members = vec![0usize; coarse.num_nodes()];
+                for &c in &map {
+                    members[c] += 1;
+                }
+                assert!(members.iter().all(|&k| k == 1 || k == 2));
+                level = coarse;
+            }
+        }
     }
 
     #[test]
